@@ -54,8 +54,11 @@ def main():
                         help="side of the synthetic test image")
     parser.add_argument("--seed", type=int, default=7,
                         help="seed for correlation pair sampling")
-    parser.add_argument("--pairs", type=int, default=20_000,
-                        help="sampled pixel pairs per correlation estimate")
+    parser.add_argument("--pairs", type=int, default=1_000_000,
+                        help="sampled pixel pairs per correlation estimate "
+                             "(default 1000000, as in the criterion-7 audit; "
+                             "20000 pairs leave about 0.007 of sampling noise "
+                             "against the 0.02 bound)")
     args = parser.parse_args()
 
     if args.image:

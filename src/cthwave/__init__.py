@@ -3,6 +3,7 @@
 from cthwave.chaos import ChaosParams, LambdaStream, f1, f2, step_coupled
 from cthwave.cipher import KeySchedule, decrypt, encrypt
 from cthwave.wavelet import (
+    ButterflyMatrix,
     HaarMatrix,
     SubBands,
     build_level_matrix,
@@ -20,6 +21,7 @@ __all__ = [
     "f2",
     "step_coupled",
     "HaarMatrix",
+    "ButterflyMatrix",
     "SubBands",
     "classic_haar_matrix",
     "build_level_matrix",

@@ -168,6 +168,20 @@ def _swap_pairs(n: int) -> tuple[tuple[str, tuple[int, int], tuple[int, int]], .
     return tuple(pairs)
 
 
+@lru_cache(maxsize=None)
+def _swap_indices(n: int) -> tuple[tuple[str, np.ndarray, np.ndarray], ...]:
+    """Per band, flat row-major LL sources and band destinations of
+    _swap_pairs(n), as read-only index arrays."""
+    pairs = _swap_pairs(n)
+    out = []
+    for band in ("lh", "hl", "hh"):
+        src = np.array([(p[1][0] - 1) * n + p[1][1] - 1 for p in pairs if p[0] == band])
+        dst = np.array([(p[2][0] - 1) * n + p[2][1] - 1 for p in pairs if p[0] == band])
+        src.flags.writeable = dst.flags.writeable = False
+        out.append((band, src, dst))
+    return tuple(out)
+
+
 def spiral_swap(sb: SubBands) -> tuple[SubBands, SwapRecord]:
     """Exchange LL cells (spiral order) with detail-band cells in rotation.
 
@@ -181,20 +195,17 @@ def spiral_swap(sb: SubBands) -> tuple[SubBands, SwapRecord]:
             f"spiral swap needs square quadrants with even side >= "
             f"{MIN_SWAP_SIDE}, got {sb.ll.shape}"
         )
-    pairs = _swap_pairs(n)
     ll = sb.ll.copy()
     targets = {"lh": sb.lh.copy(), "hl": sb.hl.copy(), "hh": sb.hh.copy()}
-    for band in ("lh", "hl", "hh"):
-        src = [(p[1][0] - 1, p[1][1] - 1) for p in pairs if p[0] == band]
-        dst = [(p[2][0] - 1, p[2][1] - 1) for p in pairs if p[0] == band]
-        sr, sc = np.array([p[0] for p in src]), np.array([p[1] for p in src])
-        dr, dc = np.array([p[0] for p in dst]), np.array([p[1] for p in dst])
-        tmp = ll[sr, sc].copy()
-        ll[sr, sc] = targets[band][dr, dc]
-        targets[band][dr, dc] = tmp
+    flat_ll = ll.reshape(-1)
+    for band, src, dst in _swap_indices(n):
+        flat_band = targets[band].reshape(-1)
+        tmp = flat_ll[src]
+        flat_ll[src] = flat_band[dst]
+        flat_band[dst] = tmp
     swapped = SubBands(ll=ll, lh=targets["lh"], hl=targets["hl"],
                        hh=targets["hh"], level=sb.level)
-    return swapped, SwapRecord(pairs)
+    return swapped, SwapRecord(_swap_pairs(n))
 
 
 def chaotic_image(m: np.ndarray, ks: KeySchedule) -> np.ndarray:

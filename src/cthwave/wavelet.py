@@ -6,9 +6,15 @@ lambda in [-2, 2], which makes the scaling coefficients
     p0 = lambda^2/24 - lambda/4 + 1
     p1 = lambda^2/24 + lambda/4 + 1
 
-key-dependent.  Single-level transform matrices pair each row with two such
-coefficients drawn from a lambda stream; multilevel behaviour comes from
-recursive application to the LL quadrant.
+key-dependent.  A single-level transform matrix is a permuted block
+diagonal of 2x2 butterflies, each pairing two input samples with four such
+coefficients drawn from a lambda stream; it is stored as those n/2 blocks
+and applied in O(n^2) per 2-D transform with no BLAS.  Every block's
+coefficients are positive, so its |det| is at least (8/9) s^2 (s^2 = 1
+raw, 1/2 normalized) and each block is checked on its own.  Multilevel
+behaviour comes from recursive application to the LL quadrant.  Only the
+classic multi-level Haar matrix, which is not one butterfly stage, is held
+dense.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 __all__ = [
     "SlopedCoeffs",
     "HaarMatrix",
+    "ButterflyMatrix",
     "SubBands",
     "SingularMatrixError",
     "sloped_coeffs",
@@ -38,17 +45,16 @@ __all__ = [
     "reconstruct",
 ]
 
-# Determinant magnitude below which a constructed matrix is rejected.
+# Determinant magnitude below which a butterfly block or a dense matrix is
+# rejected.
 DET_GATE = 1e-9
-
-# Redraw attempts before build_level_matrix gives up.
-MAX_REDRAWS = 8
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class SingularMatrixError(RuntimeError):
-    """A transform matrix failed the determinant gate or a solve failed."""
+    """A butterfly block or a dense matrix failed the determinant check, or
+    a dense solve failed."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,13 @@ def sloped_coeffs(lam: float) -> SlopedCoeffs:
     """
     if not -2.0 <= lam <= 2.0:
         raise ValueError(f"lambda must lie in [-2, 2], got {lam}")
+    return SlopedCoeffs(lam, *_scaling_pair(lam))
+
+
+def _scaling_pair(lam):
+    """(p0, p1) of a slope or, elementwise, of an array of slopes."""
     q = lam * lam / 24.0 + 1.0
-    return SlopedCoeffs(lam, q - lam / 4.0, q + lam / 4.0)
+    return q - lam / 4.0, q + lam / 4.0
 
 
 def phi(x, lam: float):
@@ -137,7 +148,11 @@ def project_1d(samples: Sequence[float], level: int, lam: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HaarMatrix:
-    """Dense transform matrix with its normalization convention recorded."""
+    """Dense transform matrix with its normalization convention recorded.
+
+    Used for the classic multi-level Haar matrix only; its whole-matrix
+    determinant check costs O(n^3).
+    """
 
     entries: np.ndarray
     normalized: bool
@@ -181,56 +196,125 @@ def _classic_entries(n: int) -> np.ndarray:
     return _INV_SQRT2 * np.vstack([top, bottom])
 
 
+@dataclass(frozen=True)
+class ButterflyMatrix:
+    """Single-stage transform matrix held as its n/2 2x2 blocks.
+
+    Block r maps columns 2r, 2r+1 to rows r and n/2 + r through
+    [[a0, a1], [d1, -d0]], so |det| = |a0*d0 + a1*d1|.  Each block must
+    pass the determinant check on its own.
+    """
+
+    a0: np.ndarray
+    a1: np.ndarray
+    d1: np.ndarray
+    d0: np.ndarray
+    normalized: bool
+
+    def __post_init__(self) -> None:
+        coeffs = [np.asarray(getattr(self, k), dtype=float)
+                  for k in ("a0", "a1", "d1", "d0")]
+        a0, a1, d1, d0 = coeffs
+        if a0.ndim != 1 or a0.size < 1 or any(c.shape != a0.shape for c in coeffs):
+            raise ValueError(
+                f"need four 1-D coefficient vectors of one length >= 1, got "
+                f"shapes {[c.shape for c in coeffs]}"
+            )
+        det = np.abs(a0 * d0 + a1 * d1)
+        bad = np.flatnonzero(~(np.isfinite(det) & (det > DET_GATE)))
+        if bad.size:
+            raise SingularMatrixError(
+                f"|det| <= {DET_GATE} or non-finite in {bad.size} of "
+                f"{det.size} blocks (first: block {bad[0]})"
+            )
+        for k, c in zip(("a0", "a1", "d1", "d0"), coeffs):
+            object.__setattr__(self, k, c)
+
+    @property
+    def n(self) -> int:
+        return 2 * self.a0.size
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n x n matrix, built on demand."""
+        half = self.a0.size
+        r = np.arange(half)
+        m = np.zeros((self.n, self.n))
+        m[r, 2 * r] = self.a0
+        m[r, 2 * r + 1] = self.a1
+        m[half + r, 2 * r] = self.d1
+        m[half + r, 2 * r + 1] = -self.d0
+        return m
+
+
 def build_level_matrix(
     n: int, lambdas: Iterator[float], normalized: bool = False
-) -> HaarMatrix:
+) -> ButterflyMatrix:
     """Single-stage n x n sloped-Haar butterfly from a slope source.
 
     Row r in [0, n/2) averages columns 2r, 2r+1 with weights p~0, p~1; row
     n/2 + r differences them with weights p~1, -p~0.  Slopes are consumed in
     a fixed order that is part of the key contract: averaging rows top to
     bottom (p~0 slot first), then differencing rows top to bottom (p~1 slot
-    first).  p~ = p / sqrt(2) when normalized, p~ = p when raw.  A matrix
-    failing the determinant gate is discarded and redrawn.
+    first).  p~ = p / sqrt(2) when normalized, p~ = p when raw.  Exactly 2n
+    slopes are drawn; every block passes the determinant check by
+    construction, since p0, p1 lie in [2/3, 5/3] on [-2, 2].
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    half = n // 2
+    lam = np.fromiter(lambdas, dtype=float, count=2 * n)
+    outside = ~(np.abs(lam) <= 2.0)
+    if outside.any():
+        raise ValueError(f"lambda must lie in [-2, 2], got {lam[outside][0]}")
     scale = _INV_SQRT2 if normalized else 1.0
-    for _attempt in range(1 + MAX_REDRAWS):
-        m = np.zeros((n, n))
-        for r in range(half):
-            left = sloped_coeffs(next(lambdas))
-            right = sloped_coeffs(next(lambdas))
-            m[r, 2 * r] = scale * left.p0
-            m[r, 2 * r + 1] = scale * right.p1
-        for r in range(half):
-            left = sloped_coeffs(next(lambdas))
-            right = sloped_coeffs(next(lambdas))
-            m[half + r, 2 * r] = scale * left.p1
-            m[half + r, 2 * r + 1] = -scale * right.p0
-        try:
-            return HaarMatrix(m, normalized=normalized)
-        except SingularMatrixError:
-            continue
-    raise SingularMatrixError(
-        f"no invertible {n}x{n} matrix after {MAX_REDRAWS} redraws"
+    p0, p1 = _scaling_pair(lam)
+    p0, p1 = scale * p0, scale * p1
+    return ButterflyMatrix(
+        a0=p0[0:n:2], a1=p1[1:n:2], d1=p1[n::2], d0=p0[n + 1::2],
+        normalized=normalized,
     )
 
 
-def forward_2d(m: np.ndarray, h: HaarMatrix) -> np.ndarray:
-    """Two-dimensional transform F = H M H^T."""
+def _analysis_rows(x: np.ndarray, h: ButterflyMatrix) -> np.ndarray:
+    """H x: each pair of rows 2r, 2r+1 becomes rows r and n/2 + r."""
+    even, odd = x[0::2], x[1::2]
+    a0, a1, d1, d0 = (c[:, None] for c in (h.a0, h.a1, h.d1, h.d0))
+    return np.concatenate((a0 * even + a1 * odd, d1 * even - d0 * odd))
+
+
+def _synthesis_rows(y: np.ndarray, h: ButterflyMatrix) -> np.ndarray:
+    """H^-1 y through the closed-form inverse of each 2x2 block."""
+    half = h.a0.size
+    top, bottom = y[:half], y[half:]
+    a0, a1, d1, d0 = (c[:, None] for c in (h.a0, h.a1, h.d1, h.d0))
+    det = a0 * d0 + a1 * d1
+    x = np.empty_like(y)
+    x[0::2] = (d0 * top + a1 * bottom) / det
+    x[1::2] = (d1 * top - a0 * bottom) / det
+    return x
+
+
+def forward_2d(m: np.ndarray, h: HaarMatrix | ButterflyMatrix) -> np.ndarray:
+    """Two-dimensional transform F = H M H^T (rows, then columns)."""
     m = np.asarray(m, dtype=float)
     if m.shape != (h.n, h.n):
         raise ValueError(f"matrix shape {m.shape} does not match n={h.n}")
+    if isinstance(h, ButterflyMatrix):
+        return _analysis_rows(_analysis_rows(m, h).T, h).T
     return h.entries @ m @ h.entries.T
 
 
-def inverse_2d(f: np.ndarray, h: HaarMatrix) -> np.ndarray:
-    """Inverse transform M = H^-1 F H^-T via linear solves."""
+def inverse_2d(f: np.ndarray, h: HaarMatrix | ButterflyMatrix) -> np.ndarray:
+    """Inverse transform M = H^-1 F H^-T (rows, then columns).
+
+    Butterflies use each block's closed-form inverse; a dense matrix is
+    inverted by linear solves.
+    """
     f = np.asarray(f, dtype=float)
     if f.shape != (h.n, h.n):
         raise ValueError(f"matrix shape {f.shape} does not match n={h.n}")
+    if isinstance(h, ButterflyMatrix):
+        return _synthesis_rows(_synthesis_rows(f, h).T, h).T
     try:
         y = np.linalg.solve(h.entries, f)
         return np.linalg.solve(h.entries, y.T).T

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cthwave.chaos import LambdaStream
 from cthwave.wavelet import (
+    ButterflyMatrix,
     HaarMatrix,
     SingularMatrixError,
     SubBands,
@@ -186,6 +188,54 @@ class TestBuildLevelMatrix:
     def test_singular_entries_rejected_at_construction(self):
         with pytest.raises(SingularMatrixError):
             HaarMatrix(np.zeros((4, 4)), normalized=False)
+
+
+class TestButterflyStage:
+    @pytest.mark.parametrize("n", [52, 64])
+    def test_orthogonal_blocks_build_at_any_size(self, n):
+        # lambda = 2, -2 on the averaging rows and -2, 2 on the differencing
+        # rows make every block (2/3)/sqrt(2) * [[1, 1], [1, -1]]: |det| =
+        # 4/9 per block and cond = 1, yet (4/9)^(n/2) < 1e-9 for n >= 52,
+        # so a whole-matrix determinant gate rejected it on every redraw.
+        slopes = [2.0, -2.0] * (n // 2) + [-2.0, 2.0] * (n // 2)
+        h = build_level_matrix(n, itertools.cycle(slopes), normalized=True)
+        assert np.linalg.cond(h.entries) == pytest.approx(1.0)
+        m = np.random.default_rng(9).standard_normal((n, n))
+        assert np.abs(inverse_2d(forward_2d(m, h), h) - m).max() < 1e-12
+
+    def test_zero_coefficients_rejected_per_block(self):
+        ones, zeros = np.ones(4), np.zeros(4)
+        with pytest.raises(SingularMatrixError):
+            ButterflyMatrix(zeros, zeros, zeros, zeros, normalized=False)
+        with pytest.raises(SingularMatrixError):
+            ButterflyMatrix(ones, ones, zeros, zeros, normalized=False)
+
+    def test_one_singular_block_rejected(self):
+        d0 = np.ones(4)
+        d0[2] = -1.0  # block 2 becomes [[1, 1], [1, 1]]
+        with pytest.raises(SingularMatrixError, match="block 2"):
+            ButterflyMatrix(np.ones(4), np.ones(4), np.ones(4), d0, normalized=False)
+
+    def test_out_of_range_slope_rejected(self):
+        with pytest.raises(ValueError):
+            build_level_matrix(4, iter([0.0] * 5 + [2.5] + [0.0] * 2))
+
+    def test_consumes_exactly_2n_slopes(self):
+        lams = iter([0.5] * 16 + [1.0])
+        build_level_matrix(8, lams)
+        assert next(lams) == 1.0
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_matches_dense_matrix_products(self, normalized):
+        rng = np.random.default_rng(10)
+        stream = LambdaStream(random_chaos_params(rng), burn_in=32)
+        h = build_level_matrix(64, stream, normalized)
+        dense = h.entries
+        m = rng.uniform(0, 255, (64, 64))
+        f = forward_2d(m, h)
+        assert np.abs(f - dense @ m @ dense.T).max() < 1e-10
+        solved = np.linalg.solve(dense, np.linalg.solve(dense, f).T).T
+        assert np.abs(inverse_2d(f, h) - solved).max() < 1e-10
 
 
 class TestTransform2d:
