@@ -16,6 +16,7 @@ fixed parameters.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 __all__ = [
@@ -110,8 +111,8 @@ class LambdaStream:
     """Stateful producer of slope values from the coupled map orbit.
 
     Single-owner mutable state: not safe for concurrent stepping.  Iterating
-    the stream yields lambda values; ``step`` exposes the raw iterate for
-    callers that need it (e.g. keystream byte generation).
+    the stream yields lambda values; ``step`` and ``orbit`` expose the raw
+    iterates for callers that need them (e.g. keystream byte generation).
     """
 
     def __init__(self, params: ChaosParams, burn_in: int = DEFAULT_BURN_IN):
@@ -120,8 +121,7 @@ class LambdaStream:
         self.params = params
         self.burn_in = burn_in
         self.state = params.x0
-        for _ in range(burn_in):
-            self.step()
+        self.orbit(burn_in)
 
     def step(self) -> float:
         """Advance the orbit one iterate and return the new state.
@@ -143,6 +143,50 @@ class LambdaStream:
         raise StreamDegeneracyError(
             f"orbit degenerate near x={self.state} (pole after perturbation)"
         )
+
+    def orbit(self, count: int) -> array:
+        """Advance ``count`` steps and return the iterates, as ``step`` would.
+
+        The coupled map is inlined over local variables with the same IEEE
+        operations in the same order as ``f1``, ``f2`` and ``step_coupled``,
+        so the iterates are bit-identical.  Whenever a check of those
+        functions would fail (state not finite and positive, a tan or cot
+        pole, a non-finite map value, a zero f2 denominator), that step is
+        handed to ``step``, which perturbs, raises or carries on exactly as
+        it always does.
+        """
+        p = self.params
+        n1, n2, a2, eps = p.n1, p.n2, p.a2, p.eps
+        a1a1 = p.a1 * p.a1
+        c1 = 1.0 - eps
+        atan, sqrt, tan, fmod = math.atan, math.sqrt, math.tan, math.fmod
+        pi, half_pi, tol, inf = math.pi, _HALF_PI, POLE_TOL, math.inf
+        out = array("d")
+        append = out.append
+        x = self.state
+        for _ in range(count):
+            if 0.0 < x < inf:
+                theta = n1 * atan(sqrt(x))
+                r = fmod(abs(theta), pi)
+                if abs(r - half_pi) >= tol:
+                    t = tan(theta)
+                    y1 = (t * t) / a1a1
+                    theta = n2 * atan(1.0 / sqrt(x))
+                    r = fmod(abs(theta), pi)
+                    if y1 < inf and r >= tol and pi - r >= tol:
+                        t = tan(theta)
+                        d = t * t * a2 * a2
+                        if d > 0.0:
+                            y2 = 1.0 / d
+                            if y2 < inf:
+                                x = c1 * y1 + eps * y2
+                                append(x)
+                                continue
+            self.state = x
+            x = self.step()
+            append(x)
+        self.state = x
+        return out
 
     def next_lambda(self) -> float:
         """Advance one step and fold the iterate into lambda in [-2, 2)."""

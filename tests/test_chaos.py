@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cthwave import chaos
 from cthwave.chaos import (
     ChaosParams,
     LambdaStream,
@@ -180,3 +181,92 @@ class TestLambdaStream:
 def _take(stream, k):
     for _ in range(k):
         yield stream.next_lambda()
+
+
+def _advance(params, advance):
+    """Iterates (as float.hex), exception type and final state of one
+    advance of a fresh stream."""
+    s = LambdaStream(params, burn_in=0)
+    try:
+        xs, err = advance(s), None
+    except Exception as exc:  # compared, not swallowed
+        xs, err = [], type(exc)
+    return [float.hex(x) for x in xs], err, float.hex(s.state)
+
+
+def _orbit_matches_step(params, count):
+    ref = _advance(params, lambda s: [s.step() for _ in range(count)])
+    assert _advance(params, lambda s: s.orbit(count)) == ref
+    return ref
+
+
+class TestOrbit:
+    def test_matches_step_on_random_keys(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            xs, err, _ = _orbit_matches_step(random_chaos_params(rng), 3000)
+            assert err is None and len(xs) == 3000
+
+    def test_continues_where_step_left_off(self):
+        a = LambdaStream(REFERENCE_PARAMS, burn_in=5)
+        b = LambdaStream(REFERENCE_PARAMS, burn_in=5)
+        head = [a.step() for _ in range(3)] + list(a.orbit(50)) + [a.step()]
+        assert head == [b.step() for _ in range(54)]
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # theta1 = 2 atan(1) = pi/2: tan pole at the first step
+            ChaosParams(1.0, 2, 3, 2.0, 2.5, 0.4),
+            # theta2 = 4 atan(1) = pi: cot pole at the first step
+            ChaosParams(1.0, 3, 4, 2.0, 2.5, 0.4),
+        ],
+    )
+    def test_matches_step_through_a_pole(self, params):
+        with pytest.raises(PoleError):
+            step_coupled(params.x0, params)
+        xs, err, _ = _orbit_matches_step(params, 200)
+        assert err is None and len(xs) == 200
+
+    def test_degenerate_orbit_raises_like_step(self):
+        # x = 1e30 sits on a pole, and x + 1e-6 == x, so the retry fails too
+        p = ChaosParams(1e30, 3, 4, 2.0, 2.5, 0.4)
+        _, err, state = _orbit_matches_step(p, 10)
+        assert err is StreamDegeneracyError and state == float.hex(1e30)
+        with pytest.raises(StreamDegeneracyError):
+            LambdaStream(p, burn_in=1)
+
+    def test_mid_orbit_pole_handled_like_step(self, monkeypatch):
+        # A wide pole band makes orbits run into a pole after some ordinary
+        # steps; the 1e-6 retry cannot leave a band this wide, so each such
+        # orbit ends in StreamDegeneracyError from the last good state.
+        monkeypatch.setattr(chaos, "POLE_TOL", 1e-3)
+        rng = np.random.default_rng(20)
+        degenerate = 0
+        for _ in range(20):
+            _, err, _ = _orbit_matches_step(random_chaos_params(rng), 3000)
+            if err is StreamDegeneracyError:
+                degenerate += 1
+        assert degenerate >= 5
+
+    def test_zero_state_perturbed_like_step(self):
+        a = LambdaStream(REFERENCE_PARAMS, burn_in=0)
+        b = LambdaStream(REFERENCE_PARAMS, burn_in=0)
+        a.state = b.state = 0.0
+        assert [a.step() for _ in range(5)] == list(b.orbit(5))
+
+    def test_non_finite_state_raises_like_step(self):
+        for bad in (math.inf, math.nan):
+            a = LambdaStream(REFERENCE_PARAMS, burn_in=0)
+            b = LambdaStream(REFERENCE_PARAMS, burn_in=0)
+            a.state = b.state = bad
+            with pytest.raises(ValueError):
+                a.step()
+            with pytest.raises(ValueError):
+                b.orbit(3)
+
+    def test_underflowing_denominator_raises_like_step(self):
+        # t*t*a2*a2 underflows to 0 and 1.0 / 0.0 raises in f2
+        p = ChaosParams(0.2, 3, 4, 2.0, 1e-200, 0.4)
+        _, err, _ = _orbit_matches_step(p, 3)
+        assert err is ZeroDivisionError

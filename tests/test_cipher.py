@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cthwave import cipher
 from cthwave.chaos import ChaosParams
 from cthwave.cipher import (
+    MASK_CACHE_SIZE,
     CipherModeError,
     KeySchedule,
     chaotic_image,
@@ -106,6 +108,29 @@ class TestQuantize:
     def test_output_is_bytes(self, f):
         out = quantize(f)
         assert out.dtype == np.uint8
+
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 64),
+            elements=st.one_of(
+                st.floats(-1e7, 1e7),
+                st.floats(-1.0, 1.0),
+                st.sampled_from([0.5, -0.5, 0.0, -0.0, 255.5, -255.5, 256.5, -256.5]),
+                st.integers(-300, 300).map(lambda k: k + 0.5),
+            ),
+        )
+    )
+    @settings(deadline=None)
+    def test_matches_reference_formula(self, f):
+        # The formula quantize had before it reused one buffer.
+        reference = np.mod(np.sign(f) * np.floor(np.abs(f) + 0.5), 256.0).astype(np.uint8)
+        assert quantize(f).tobytes() == reference.tobytes()
+
+    def test_leaves_input_untouched(self):
+        f = np.array([-1.5, 0.25, 300.7])
+        quantize(f)
+        assert f.tolist() == [-1.5, 0.25, 300.7]
 
 
 class TestXor:
@@ -233,6 +258,129 @@ class TestEncryptDecrypt:
         assert np.array_equal(
             encrypt(m, default_keystream_key), encrypt(m, default_keystream_key)
         )
+
+
+class TestImageChecks:
+    BAD = [
+        # int32 values above 255 used to be cast silently and lost
+        np.arange(256, 512, dtype=np.int32).reshape(16, 16),
+        np.zeros((16, 16), dtype=np.float64),
+        np.zeros((16, 16), dtype=np.int64),
+        np.zeros((16, 16), dtype=bool),
+        np.zeros((16, 16, 3), dtype=np.uint8),
+        np.zeros(256, dtype=np.uint8),
+        np.zeros((16, 20), dtype=np.uint8),
+        np.zeros((6, 6), dtype=np.uint8),
+        np.zeros((0, 0), dtype=np.uint8),
+        [[1, 2, 3, 4]] * 4,
+    ]
+
+    @pytest.mark.parametrize("bad", BAD, ids=range(len(BAD)))
+    def test_bad_images_rejected(self, bad, default_keystream_key, default_literal_key):
+        good = np.zeros((16, 16), np.uint8)
+        for call in (
+            lambda: encrypt(bad, default_keystream_key),
+            lambda: encrypt(bad, default_literal_key),
+            lambda: decrypt(bad, default_keystream_key),
+            lambda: verify_literal_roundtrip(bad, good, default_literal_key),
+            lambda: verify_literal_roundtrip(good, bad, default_literal_key),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_bad_image_rejected_before_the_mask(self, default_keystream_key, monkeypatch):
+        monkeypatch.setattr(cipher, "_keystream_mask", None)
+        with pytest.raises(ValueError, match="uint8"):
+            encrypt(np.zeros((16, 16), np.int32), default_keystream_key)
+
+
+@pytest.fixture
+def cold_mask_cache():
+    cipher._keystream_mask.cache_clear()
+    yield cipher._keystream_mask
+    cipher._keystream_mask.cache_clear()
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(cipher, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(cipher, name, counted)
+    return calls
+
+
+class TestMaskCache:
+    def test_bounded_below_the_bench_key_count(self):
+        # The bench self-test replays 32 keys and must see every one miss.
+        assert cipher._keystream_mask.cache_info().maxsize == MASK_CACHE_SIZE < 32
+
+    def test_mask_built_once_per_key_and_side(
+        self, cold_mask_cache, default_keystream_key, monkeypatch
+    ):
+        calls = count_calls(monkeypatch, "chaotic_image")
+        ks = default_keystream_key
+        rng = np.random.default_rng(6)
+        for n in (16, 32, 16, 32):
+            m = rng.integers(0, 256, (n, n)).astype(np.uint8)
+            assert np.array_equal(decrypt(encrypt(m, ks), ks), m)
+        assert len(calls) == 2
+        assert cold_mask_cache.cache_info().hits == 6
+
+    def test_cached_mask_matches_the_pipeline(self, cold_mask_cache, default_keystream_key):
+        ks = default_keystream_key
+        mask = cold_mask_cache(ks, 16)
+        assert np.array_equal(mask, quantize(chaotic_image(keystream_image(ks, 16), ks)))
+
+    def test_cached_mask_is_read_only(self, cold_mask_cache, default_keystream_key):
+        mask = cold_mask_cache(default_keystream_key, 16)
+        assert mask.dtype == np.uint8 and not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = 0
+
+    def test_outputs_are_fresh_writable_arrays(self, cold_mask_cache, default_keystream_key):
+        ks = default_keystream_key
+        m = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        e = encrypt(m, ks)
+        expected = e.copy()
+        assert e.flags.writeable
+        e[:] = 0
+        assert np.array_equal(encrypt(m, ks), expected)
+        d = decrypt(expected, ks)
+        assert d.flags.writeable
+        d[:] = 1
+        assert np.array_equal(decrypt(expected, ks), m)
+        assert np.array_equal(decrypt(np.zeros_like(m), ks), cold_mask_cache(ks, 16))
+
+    @pytest.mark.parametrize(
+        "change", [{"normalized": True}, {"burn_in": 65}, {"burn_in": 0}]
+    )
+    def test_keys_differing_in_settings_never_share(
+        self, cold_mask_cache, default_keystream_key, change
+    ):
+        ks = default_keystream_key
+        other = replace(ks, **change)
+        assert other != ks
+        a, b = cold_mask_cache(ks, 16), cold_mask_cache(other, 16)
+        assert not np.array_equal(a, b)
+        assert cold_mask_cache.cache_info().misses == 2
+
+    def test_literal_mode_bypasses_the_cache(
+        self, cold_mask_cache, default_keystream_key, default_literal_key, monkeypatch
+    ):
+        m = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        e_keystream = encrypt(m, default_keystream_key)
+        calls = count_calls(monkeypatch, "chaotic_image")
+        for _ in range(3):
+            e_literal = encrypt(m, default_literal_key)
+            assert verify_literal_roundtrip(e_literal, m, default_literal_key)
+        # one mask per literal encrypt and one per literal check
+        assert len(calls) == 6
+        assert not np.array_equal(e_literal, e_keystream)
+        assert cold_mask_cache.cache_info().currsize == 1
 
 
 class TestKeySchedule:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cthwave.cli import main
+from cthwave.cli import ANALYZE_PAIRS, _build_parser, main
 from cthwave.imageio import (
     GrayImage,
     PgmError,
@@ -235,6 +235,10 @@ class TestCli:
         ]
         ll = read_pgm(out_dir / "L2_LL.pgm")
         assert (ll.width, ll.height) == (16, 16)
+
+    def test_analyze_pairs_default(self):
+        args = _build_parser().parse_args(["analyze", "--in", "x.pgm"])
+        assert args.pairs == ANALYZE_PAIRS == 1_000_000
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["keyspace"]) == 1
