@@ -10,7 +10,7 @@ the diffusion audit applies to keystream mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +39,8 @@ __all__ = [
     "verify_literal_roundtrip",
 ]
 
-# Smallest quadrant side the spiral swap is defined for.
+# Smallest quadrant side the spiral swap is defined for; smaller ones stay in
+# place.  Swapped ones need an even side, so a side is 4, 12 or a multiple of 8.
 MIN_SWAP_SIDE = 4
 
 # Extra burn-in applied to the keystream generator so its orbit segment is
@@ -171,18 +172,34 @@ def _swap_pairs(n: int) -> tuple[tuple[str, tuple[int, int], tuple[int, int]], .
     return tuple(pairs)
 
 
+def _swap_perm(side: int) -> np.ndarray:
+    """Flat gather index of one spiral swap on a merged side x side sub-band
+    matrix; the swapped cells are disjoint pairs, so it is its own inverse."""
+    q = side // 2
+    pairs = _swap_pairs(q)
+    offset = {"lh": q * side, "hl": q, "hh": q * side + q}
+    ll = np.array([(r - 1) * side + c - 1 for _, (r, c), _ in pairs])
+    band = np.array([offset[b] + (r - 1) * side + c - 1 for b, _, (r, c) in pairs])
+    perm = np.arange(side * side)
+    perm[ll], perm[band] = band, ll
+    return perm
+
+
 @lru_cache(maxsize=None)
-def _swap_indices(n: int) -> tuple[tuple[str, np.ndarray, np.ndarray], ...]:
-    """Per band, flat row-major LL sources and band destinations of
-    _swap_pairs(n), as read-only index arrays."""
-    pairs = _swap_pairs(n)
-    out = []
-    for band in ("lh", "hl", "hh"):
-        src = np.array([(p[1][0] - 1) * n + p[1][1] - 1 for p in pairs if p[0] == band])
-        dst = np.array([(p[2][0] - 1) * n + p[2][1] - 1 for p in pairs if p[0] == band])
-        src.flags.writeable = dst.flags.writeable = False
-        out.append((band, src, dst))
-    return tuple(out)
+def _mask_perm(n: int) -> np.ndarray:
+    """Read-only flat gather index of both spiral swaps of an n x n two-level
+    decomposition: the level-2 swap inside the top-left n/2 x n/2 quadrant,
+    then the level-1 swap."""
+    h = n // 2
+    perm = np.arange(n * n).reshape(n, n)
+    if h // 2 >= MIN_SWAP_SIDE:
+        perm[:h, :h] = perm[:h, :h].reshape(-1)[_swap_perm(h)].reshape(h, h)
+    perm = perm.reshape(-1)
+    if h >= MIN_SWAP_SIDE:
+        perm = perm[_swap_perm(n)]
+    perm = perm.astype(np.int32)
+    perm.flags.writeable = False
+    return perm
 
 
 def spiral_swap(sb: SubBands) -> tuple[SubBands, SwapRecord]:
@@ -190,7 +207,7 @@ def spiral_swap(sb: SubBands) -> tuple[SubBands, SwapRecord]:
 
     Partner bands cycle LH -> HL -> HH per visited LL cell; partner
     positions follow per-band stride-3 scans anchored at the published
-    swap positions.  Values are permuted, never modified.
+    swap positions.  Values are permuted into new arrays, never modified.
     """
     n = sb.ll.shape[0]
     if sb.ll.shape != (n, n) or n < MIN_SWAP_SIDE or n % 2:
@@ -198,48 +215,28 @@ def spiral_swap(sb: SubBands) -> tuple[SubBands, SwapRecord]:
             f"spiral swap needs square quadrants with even side >= "
             f"{MIN_SWAP_SIDE}, got {sb.ll.shape}"
         )
-    ll = sb.ll.copy()
-    targets = {"lh": sb.lh.copy(), "hl": sb.hl.copy(), "hh": sb.hh.copy()}
-    flat_ll = ll.reshape(-1)
-    for band, src, dst in _swap_indices(n):
-        flat_band = targets[band].reshape(-1)
-        tmp = flat_ll[src]
-        flat_ll[src] = flat_band[dst]
-        flat_band[dst] = tmp
-    swapped = SubBands(ll=ll, lh=targets["lh"], hl=targets["hl"],
-                       hh=targets["hh"], level=sb.level)
-    return swapped, SwapRecord(_swap_pairs(n))
+    swapped = merge_subbands(sb).reshape(-1)[_swap_perm(2 * n)].reshape(2 * n, 2 * n)
+    return split_subbands(swapped, sb.level), SwapRecord(_swap_pairs(n))
 
 
 def chaotic_image(m: np.ndarray, ks: KeySchedule) -> np.ndarray:
     """Produce the real-valued mask image F from an input image.
 
-    Two forward decomposition levels (stages 1-2), spiral swapping on the
-    level-2 then level-1 quadrants, then two inverse levels with fresh
-    matrices (stages 3-4).  Quadrants too small for the spiral (side < 4)
-    pass through unswapped.
+    Two forward decomposition levels (stages 1-2, level 2 in place on the
+    top-left quadrant), the level-2 then level-1 spiral swaps as one cached
+    gather, then two inverse levels with fresh matrices (stages 3-4).
+    Quadrants too small for the spiral (side < 4) pass through unswapped.
     """
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n) or n % 4:
-        raise ValueError(f"image must be square with side divisible by 4, got {m.shape}")
+    _check_side(m.shape, "image")
+    n, h = m.shape[0], m.shape[0] // 2
     s1, s2, s3, s4 = (LambdaStream(p, ks.burn_in) for p in ks.stages)
 
-    h1 = build_level_matrix(n, s1, ks.normalized)
-    bands1 = split_subbands(forward_2d(m, h1), level=1)
-    h2 = build_level_matrix(n // 2, s2, ks.normalized)
-    bands2 = split_subbands(forward_2d(bands1.ll, h2), level=2)
-
-    if n // 4 >= MIN_SWAP_SIDE:
-        bands2, _ = spiral_swap(bands2)
-    bands1 = replace(bands1, ll=merge_subbands(bands2))
-    if n // 2 >= MIN_SWAP_SIDE:
-        bands1, _ = spiral_swap(bands1)
-
-    g2 = build_level_matrix(n // 2, s3, ks.normalized)
-    ll1 = inverse_2d(bands1.ll, g2)
-    g1 = build_level_matrix(n, s4, ks.normalized)
-    return inverse_2d(merge_subbands(replace(bands1, ll=ll1)), g1)
+    f = forward_2d(m, build_level_matrix(n, s1, ks.normalized))
+    f[:h, :h] = forward_2d(f[:h, :h], build_level_matrix(h, s2, ks.normalized))
+    f = f.reshape(-1)[_mask_perm(n)].reshape(n, n)
+    f[:h, :h] = inverse_2d(f[:h, :h], build_level_matrix(h, s3, ks.normalized))
+    return inverse_2d(f, build_level_matrix(n, s4, ks.normalized))
 
 
 def quantize(f: np.ndarray) -> np.ndarray:
@@ -281,16 +278,20 @@ def keystream_image(ks: KeySchedule, n: int) -> np.ndarray:
     return b.astype(np.uint8).reshape(n, n)
 
 
+def _check_side(shape: tuple[int, ...], name: str) -> None:
+    """Refuse any shape but a square one of side 4, 12 or a multiple of 8."""
+    n = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+    if n not in (4, 12) and (n == 0 or n % 8):
+        raise ValueError(f"{name} must be square with side 4, 12 or a multiple "
+                         f"of 8, got shape {shape}")
+
+
 def _check_image(x: np.ndarray, name: str) -> np.ndarray:
-    """Refuse anything but a square uint8 image with side divisible by 4."""
+    """Refuse anything but a square uint8 image of a supported side."""
     x = np.asarray(x)
     if x.dtype != np.uint8:
         raise ValueError(f"{name} must have dtype uint8, got {x.dtype}")
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0 or x.shape[0] % 4:
-        raise ValueError(
-            f"{name} must be square with a positive side divisible by 4, "
-            f"got shape {x.shape}"
-        )
+    _check_side(x.shape, name)
     return x
 
 

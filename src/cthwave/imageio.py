@@ -18,6 +18,8 @@ __all__ = [
     "synthetic_test_image",
 ]
 
+MIN_SIDE = 8
+
 
 class PgmError(ValueError):
     """Malformed or unsupported PGM data."""
@@ -46,13 +48,13 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
-def require_square_pow2(img: GrayImage, min_side: int = 8) -> None:
+def require_square_pow2(img: GrayImage) -> None:
     """Reject images the cipher pipeline cannot process."""
     w, h = img.width, img.height
     if w != h:
         raise PgmError(f"image must be square, got {w}x{h}")
-    if w < min_side or w & (w - 1):
-        raise PgmError(f"side must be a power of two >= {min_side}, got {w}")
+    if w < MIN_SIDE or w & (w - 1):
+        raise PgmError(f"side must be a power of two >= {MIN_SIDE}, got {w}")
 
 
 def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:

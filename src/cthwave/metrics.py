@@ -37,7 +37,7 @@ class ZeroVarianceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Summary of the audit battery for one image (or image pair)."""
+    """Summary of the single-image audit battery."""
 
     histogram: np.ndarray
     mean_intensity: float
@@ -45,9 +45,6 @@ class MetricsReport:
     corr_horizontal: Optional[float]
     corr_vertical: Optional[float]
     corr_diagonal: Optional[float]
-    npcr_percent: Optional[float] = None
-    uaci_percent: Optional[float] = None
-    key_space_bits: Optional[float] = None
 
 
 def _as_bytes(img: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from cthwave import cipher
 from cthwave.chaos import ChaosParams
 from cthwave.cipher import (
     MASK_CACHE_SIZE,
+    MIN_SWAP_SIDE,
     CipherModeError,
     KeySchedule,
     chaotic_image,
@@ -22,7 +23,7 @@ from cthwave.cipher import (
     xor_combine,
 )
 from cthwave.metrics import entropy_normalized, npcr
-from cthwave.wavelet import SubBands
+from cthwave.wavelet import SubBands, merge_subbands, split_subbands
 
 from conftest import random_key_schedule
 
@@ -83,6 +84,23 @@ class TestSpiralSwap:
     def test_small_quadrants_rejected(self):
         with pytest.raises(ValueError):
             spiral_swap(random_bands(2, 0))
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_matches_its_record(self, n):
+        sb = random_bands(n, n + 2)
+        swapped, record = spiral_swap(sb)
+        expected = {q: getattr(sb, q).copy() for q in ("ll", "lh", "hl", "hh")}
+        ll = expected["ll"]
+        for band, (r, c), (pr, pc) in record.swaps:
+            other, a, b = expected[band], (r - 1, c - 1), (pr - 1, pc - 1)
+            ll[a], other[b] = other[b], ll[a]
+        assert bands_equal(swapped, SubBands(**expected))
+
+    def test_leaves_input_unchanged(self):
+        sb = random_bands(8, 3)
+        before = SubBands(*(getattr(sb, q).copy() for q in ("ll", "lh", "hl", "hh")))
+        spiral_swap(sb)
+        assert bands_equal(sb, before)
 
 
 class TestQuantize:
@@ -273,6 +291,9 @@ class TestImageChecks:
         np.zeros((6, 6), dtype=np.uint8),
         np.zeros((0, 0), dtype=np.uint8),
         [[1, 2, 3, 4]] * 4,
+        # level-2 quadrants of side 5 and 7 cannot be spiral-swapped
+        np.zeros((20, 20), dtype=np.uint8),
+        np.zeros((28, 28), dtype=np.uint8),
     ]
 
     @pytest.mark.parametrize("bad", BAD, ids=range(len(BAD)))
@@ -288,10 +309,18 @@ class TestImageChecks:
             with pytest.raises(ValueError):
                 call()
 
-    def test_bad_image_rejected_before_the_mask(self, default_keystream_key, monkeypatch):
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(np.zeros((16, 16), np.int32), "uint8"),
+         (np.zeros((20, 20), np.uint8), r"multiple of 8, got shape \(20, 20\)")],
+        ids=["int32", "side-20"],
+    )
+    def test_bad_image_rejected_before_the_mask(
+        self, bad, match, default_keystream_key, monkeypatch
+    ):
         monkeypatch.setattr(cipher, "_keystream_mask", None)
-        with pytest.raises(ValueError, match="uint8"):
-            encrypt(np.zeros((16, 16), np.int32), default_keystream_key)
+        with pytest.raises(ValueError, match=match):
+            encrypt(bad, default_keystream_key)
 
 
 @pytest.fixture
@@ -381,6 +410,45 @@ class TestMaskCache:
         assert len(calls) == 6
         assert not np.array_equal(e_literal, e_keystream)
         assert cold_mask_cache.cache_info().currsize == 1
+
+
+def two_level_swaps(f):
+    """Both spiral swaps composed over sub-band copies, as chaotic_image ran
+    them before they became one gather; the reference for _mask_perm."""
+    n = f.shape[0]
+    bands1 = split_subbands(f, level=1)
+    bands2 = split_subbands(bands1.ll, level=2)
+    if n // 4 >= MIN_SWAP_SIDE:
+        bands2, _ = spiral_swap(bands2)
+    bands1 = replace(bands1, ll=merge_subbands(bands2))
+    if n // 2 >= MIN_SWAP_SIDE:
+        bands1, _ = spiral_swap(bands1)
+    return merge_subbands(bands1)
+
+
+class TestMaskPerm:
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 24, 64, 256])
+    def test_matches_the_sub_band_composition(self, n):
+        perm = cipher._mask_perm(n)
+        reference = two_level_swaps(np.arange(n * n, dtype=float).reshape(n, n))
+        assert perm.dtype == np.int32 and perm.shape == (n * n,)
+        assert np.array_equal(perm, reference.reshape(-1))
+        assert np.array_equal(np.sort(perm), np.arange(n * n))
+        assert not perm.flags.writeable
+        with pytest.raises(ValueError):
+            perm[0] = 0
+
+    def test_literal_encrypt_makes_no_sub_band_round_trips(
+        self, default_literal_key, monkeypatch
+    ):
+        names = ("spiral_swap", "split_subbands", "merge_subbands")
+        calls = {name: count_calls(monkeypatch, name) for name in names}
+        m = (np.arange(32 * 32) % 256).astype(np.uint8).reshape(32, 32)
+        encrypt(m, default_literal_key)
+        assert all(len(c) == 0 for c in calls.values())
+        # the counters do see these names when spiral_swap runs
+        cipher.spiral_swap(random_bands(8, 0))
+        assert all(len(c) == 1 for c in calls.values())
 
 
 class TestKeySchedule:
