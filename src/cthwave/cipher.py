@@ -92,112 +92,71 @@ class SwapRecord:
     swaps: tuple[tuple[str, tuple[int, int], tuple[int, int]], ...]
 
 
-def _spiral_order(n: int) -> list[tuple[int, int]]:
-    """Visit every cell of an n x n grid once, spiralling outward.
+# Partner bands in rotation: band k takes LL visits k::3 of the spiral.
+SWAP_BANDS = ("lh", "hl", "hh")
+
+
+def _spiral(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (rows, cols) of every cell of an n x n grid, spiralling outward.
 
     Starts at 1-based (n/2, n/2+1); run lengths 1, 1, 2, 2, 3, 3, ... with
     directions cycling left, down, right, up (this matches the published
-    anchor swaps).  Cells falling outside the grid are skipped.
+    anchor swaps).  Runs up to length n + 1 reach every cell; steps falling
+    outside the grid are dropped.
     """
-    r, c = n // 2 - 1, n // 2  # 0-based start
-    cells = [(r, c)]
-    seen = 1
-    directions = ((0, -1), (1, 0), (0, 1), (-1, 0))  # left, down, right, up
-    run, d = 1, 0
-    while seen < n * n:
-        dr, dc = directions[d]
-        for _ in range(run):
-            r += dr
-            c += dc
-            if 0 <= r < n and 0 <= c < n:
-                cells.append((r, c))
-                seen += 1
-                if seen == n * n:
-                    break
-        d = (d + 1) % 4
-        if d in (0, 2):
-            run += 1
-    return cells
+    seg = np.arange(2 * n + 2)
+    runs, d = seg // 2 + 1, seg % 4
+    r = np.repeat(np.array([0, 1, 0, -1])[d], runs)  # left, down, right, up
+    c = np.repeat(np.array([-1, 0, 1, 0])[d], runs)
+    r = np.cumsum(np.concatenate(([n // 2 - 1], r)))
+    c = np.cumsum(np.concatenate(([n // 2], c)))
+    inside = (r >= 0) & (r < n) & (c >= 0) & (c < n)
+    return r[inside], c[inside]
 
 
-def _band_scan(
-    n: int, anchor_col: int, step: int, rows: list[int], count: int
-) -> list[tuple[int, int]]:
-    """Stride-3 column scan of a detail band, row by row.
+def _swap_index(n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the cells one spiral swap exchanges, for quadrant side
+    n of a 2n x 2n sub-band matrix stored with row stride ``stride``: the LL
+    cells in spiral order, and their partners.
 
-    Within each row the columns move by ``step`` (+3 or -3) starting from
-    anchor_col (1-based); when a row is exhausted the scan wraps to the next
-    row in ``rows`` at the anchor column.  If all rows are exhausted the
-    sweep restarts with the anchor shifted by one toward the interior, which
-    keeps every generated cell distinct (the three sweeps cover disjoint
-    column residue classes).
+    LL visit i pairs with band SWAP_BANDS[i % 3].  Each band is scanned row
+    by row with columns moving by 3 from an anchor; after the last row the
+    scan restarts with the anchor moved one column toward the interior, so
+    its three sweeps cover disjoint column residue classes.
     """
-    out: list[tuple[int, int]] = []
-    for sweep in range(3):
-        start = anchor_col - sweep if step < 0 else anchor_col + sweep
-        for row in rows:
-            col = start
-            while 1 <= col <= n:
-                out.append((row, col))
-                if len(out) == count:
-                    return out
-                col += step
-    raise ValueError(f"band scan exhausted before {count} cells (n={n})")
-
-
-@lru_cache(maxsize=None)
-def _swap_pairs(n: int) -> tuple[tuple[str, tuple[int, int], tuple[int, int]], ...]:
-    """Full swap sequence for quadrant side n, 1-based indices."""
-    order = _spiral_order(n)
-    counts = {
-        "lh": (len(order) + 2) // 3,
-        "hl": (len(order) + 1) // 3,
-        "hh": len(order) // 3,
-    }
-    # Column anchors n, 2, 3 reproduce the published first swaps
-    # (1, n'), (n', 2), (1, 3); LH descends, HL and HH ascend.
-    scans = {
-        "lh": _band_scan(n, n, -3, list(range(1, n + 1)), counts["lh"]),
-        "hl": _band_scan(n, 2, 3, list(range(n, 0, -1)), counts["hl"]),
-        "hh": _band_scan(n, 3, 3, list(range(1, n + 1)), counts["hh"]),
-    }
-    pairs = []
-    cursors = {"lh": 0, "hl": 0, "hh": 0}
-    bands = ("lh", "hl", "hh")
-    for i, (r, c) in enumerate(order):
-        band = bands[i % 3]
-        partner = scans[band][cursors[band]]
-        cursors[band] += 1
-        pairs.append((band, (r + 1, c + 1), partner))
-    return tuple(pairs)
-
-
-def _swap_perm(side: int) -> np.ndarray:
-    """Flat gather index of one spiral swap on a merged side x side sub-band
-    matrix; the swapped cells are disjoint pairs, so it is its own inverse."""
-    q = side // 2
-    pairs = _swap_pairs(q)
-    offset = {"lh": q * side, "hl": q, "hh": q * side + q}
-    ll = np.array([(r - 1) * side + c - 1 for _, (r, c), _ in pairs])
-    band = np.array([offset[b] + (r - 1) * side + c - 1 for b, _, (r, c) in pairs])
-    perm = np.arange(side * side)
-    perm[ll], perm[band] = band, ll
-    return perm
+    ll_r, ll_c = _spiral(n)
+    partner = np.empty_like(ll_r)
+    down, up = np.arange(n), np.arange(n - 1, -1, -1)
+    # Band origin, 0-based column anchor, column step, row order.  Anchors
+    # n-1, 1, 2 reproduce the published first swaps (1, n'), (n', 2), (1, 3);
+    # LH descends, HL and HH ascend.
+    scans = (
+        (n * stride, n - 1, -3, down),
+        (n, 1, 3, up),
+        (n * stride + n, 2, 3, down),
+    )
+    for k, (origin, anchor, step, rows) in enumerate(scans):
+        end, shift = (-1, -1) if step < 0 else (n, 1)
+        sweeps = [
+            (rows[:, None] * stride + np.arange(anchor + s * shift, end, step)).ravel()
+            for s in range(3)
+        ]
+        visits = partner[k::3]
+        visits[:] = origin + np.concatenate(sweeps)[: visits.size]
+    return ll_r * stride + ll_c, partner
 
 
 @lru_cache(maxsize=None)
 def _mask_perm(n: int) -> np.ndarray:
     """Read-only flat gather index of both spiral swaps of an n x n two-level
     decomposition: the level-2 swap inside the top-left n/2 x n/2 quadrant,
-    then the level-1 swap."""
-    h = n // 2
-    perm = np.arange(n * n).reshape(n, n)
-    if h // 2 >= MIN_SWAP_SIDE:
-        perm[:h, :h] = perm[:h, :h].reshape(-1)[_swap_perm(h)].reshape(h, h)
-    perm = perm.reshape(-1)
-    if h >= MIN_SWAP_SIDE:
-        perm = perm[_swap_perm(n)]
-    perm = perm.astype(np.int32)
+    then the level-1 swap.  Each swap exchanges disjoint pairs of entries,
+    which composes it onto the gathers before it."""
+    perm = np.arange(n * n, dtype=np.int32)
+    for q in (n // 4, n // 2):
+        if q >= MIN_SWAP_SIDE:
+            ll, partner = _swap_index(q, n)
+            perm[ll], perm[partner] = perm[partner], perm[ll]
     perm.flags.writeable = False
     return perm
 
@@ -215,8 +174,18 @@ def spiral_swap(sb: SubBands) -> tuple[SubBands, SwapRecord]:
             f"spiral swap needs square quadrants with even side >= "
             f"{MIN_SWAP_SIDE}, got {sb.ll.shape}"
         )
-    swapped = merge_subbands(sb).reshape(-1)[_swap_perm(2 * n)].reshape(2 * n, 2 * n)
-    return split_subbands(swapped, sb.level), SwapRecord(_swap_pairs(n))
+    m = 2 * n
+    ll, partner = _swap_index(n, m)
+    merged = merge_subbands(sb)
+    flat = merged.reshape(-1)
+    flat[ll], flat[partner] = flat[partner], flat[ll]
+    # A partner's place inside its band is its merged place mod n.
+    coords = (ll // m, ll % m, partner // m % n, partner % m % n)
+    record = tuple(
+        (SWAP_BANDS[i % 3], (r + 1, c + 1), (pr + 1, pc + 1))
+        for i, (r, c, pr, pc) in enumerate(zip(*(a.tolist() for a in coords)))
+    )
+    return split_subbands(merged, sb.level), SwapRecord(record)
 
 
 def chaotic_image(m: np.ndarray, ks: KeySchedule) -> np.ndarray:
@@ -265,7 +234,7 @@ def keystream_image(ks: KeySchedule, n: int) -> np.ndarray:
     """Key-derived pseudorandom byte image, filled row-major.
 
     Driven by a dedicated stream on the stage-1 parameters with an extra
-    burn-in offset; each pixel is floor(frac(x) * 256) clamped to [0, 255].
+    burn-in offset; each pixel is floor(frac(x) * 256) for one iterate x.
     """
     if n <= 0 or n % 4:
         raise ValueError(f"side must be positive and divisible by 4, got {n}")

@@ -108,7 +108,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_crypt(args: argparse.Namespace, mode: str) -> int:
     img = read_pgm(args.infile)
-    require_square_pow2(img)
     ks = load_key_file(args.key)
     if mode == "encrypt":
         out = cipher.encrypt(img.pixels, ks)

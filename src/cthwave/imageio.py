@@ -49,7 +49,8 @@ class GrayImage:
 
 
 def require_square_pow2(img: GrayImage) -> None:
-    """Reject images the cipher pipeline cannot process."""
+    """Reject images that are not square with a power-of-two side >= MIN_SIDE
+    (the gate of `cthwave transform`; the cipher checks its own sides)."""
     w, h = img.width, img.height
     if w != h:
         raise PgmError(f"image must be square, got {w}x{h}")

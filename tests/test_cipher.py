@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,9 +24,9 @@ from cthwave.cipher import (
     xor_combine,
 )
 from cthwave.metrics import entropy_normalized, npcr
-from cthwave.wavelet import SubBands, merge_subbands, split_subbands
+from cthwave.wavelet import SubBands
 
-from conftest import random_key_schedule
+from conftest import _swap_pairs, random_key_schedule
 
 
 def random_bands(n, seed):
@@ -56,6 +57,11 @@ class TestSpiralSwap:
         assert record.swaps[3] == ("lh", (5, 5), (1, 5))
         assert record.swaps[4] == ("hl", (5, 6), (8, 5))
         assert record.swaps[5] == ("hh", (4, 6), (1, 6))
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 64])
+    def test_record_matches_the_reference_generator(self, n):
+        _, record = spiral_swap(random_bands(n, 4))
+        assert record.swaps == _swap_pairs(n)
 
     @pytest.mark.parametrize("n", [4, 8, 16, 64])
     def test_involution(self, n):
@@ -412,27 +418,48 @@ class TestMaskCache:
         assert cold_mask_cache.cache_info().currsize == 1
 
 
-def two_level_swaps(f):
-    """Both spiral swaps composed over sub-band copies, as chaotic_image ran
-    them before they became one gather; the reference for _mask_perm."""
-    n = f.shape[0]
-    bands1 = split_subbands(f, level=1)
-    bands2 = split_subbands(bands1.ll, level=2)
-    if n // 4 >= MIN_SWAP_SIDE:
-        bands2, _ = spiral_swap(bands2)
-    bands1 = replace(bands1, ll=merge_subbands(bands2))
-    if n // 2 >= MIN_SWAP_SIDE:
-        bands1, _ = spiral_swap(bands1)
-    return merge_subbands(bands1)
+def reference_swap_perm(side):
+    """Flat gather index of one spiral swap on a merged side x side matrix,
+    from the per-cell reference pairs."""
+    q = side // 2
+    pairs = _swap_pairs(q)
+    offset = {"lh": q * side, "hl": q, "hh": q * side + q}
+    ll = np.array([(r - 1) * side + c - 1 for _, (r, c), _ in pairs])
+    band = np.array([offset[b] + (r - 1) * side + c - 1 for b, _, (r, c) in pairs])
+    perm = np.arange(side * side)
+    perm[ll], perm[band] = band, ll
+    return perm
+
+
+def reference_mask_perm(n):
+    """The level-2 swap on the top-left n/2 quadrant, then the level-1 swap,
+    composed from the per-cell reference pairs."""
+    h = n // 2
+    perm = np.arange(n * n).reshape(n, n)
+    if h // 2 >= MIN_SWAP_SIDE:
+        perm[:h, :h] = perm[:h, :h].reshape(-1)[reference_swap_perm(h)].reshape(h, h)
+    perm = perm.reshape(-1)
+    if h >= MIN_SWAP_SIDE:
+        perm = perm[reference_swap_perm(n)]
+    return perm
 
 
 class TestMaskPerm:
-    @pytest.mark.parametrize("n", [4, 8, 12, 16, 24, 64, 256])
+    def test_build_retains_only_the_permutation(self):
+        cipher._mask_perm.cache_clear()
+        tracemalloc.start()
+        try:
+            perm = cipher._mask_perm(512)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 2 * perm.nbytes
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 24, 64, 256, 512, 1024])
     def test_matches_the_sub_band_composition(self, n):
         perm = cipher._mask_perm(n)
-        reference = two_level_swaps(np.arange(n * n, dtype=float).reshape(n, n))
         assert perm.dtype == np.int32 and perm.shape == (n * n,)
-        assert np.array_equal(perm, reference.reshape(-1))
+        assert np.array_equal(perm, reference_mask_perm(n))
         assert np.array_equal(np.sort(perm), np.arange(n * n))
         assert not perm.flags.writeable
         with pytest.raises(ValueError):

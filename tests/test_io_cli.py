@@ -250,6 +250,26 @@ class TestCli:
                    "--out", str(tmp_path / "o.pgm")])
         assert rc == 2
 
+    def test_crypt_takes_every_side_the_cipher_takes(self, tmp_path, key_path,
+                                                     capsys):
+        plain, enc, dec = (tmp_path / f"{name}.pgm" for name in ("p", "e", "d"))
+        pixels = np.random.default_rng(5).integers(0, 256, (24, 24), dtype=np.uint8)
+        write_pgm(GrayImage(pixels), plain)
+        assert main(["encrypt", "--in", str(plain), "--key", str(key_path),
+                     "--out", str(enc)]) == 0
+        assert main(["decrypt", "--in", str(enc), "--key", str(key_path),
+                     "--out", str(dec)]) == 0
+        assert read_pgm(dec).pixels.tobytes() == pixels.tobytes()
+
+    def test_crypt_refuses_a_side_the_swap_cannot_serve(self, tmp_path, key_path,
+                                                       capsys):
+        plain = tmp_path / "p.pgm"
+        write_pgm(GrayImage(np.zeros((20, 20), np.uint8)), plain)
+        rc = main(["encrypt", "--in", str(plain), "--key", str(key_path),
+                   "--out", str(tmp_path / "e.pgm")])
+        assert rc == 2
+        assert "side 4, 12 or a multiple of 8" in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path, image_path, key_path, capsys):
         a = tmp_path / "a.pgm"
         b = tmp_path / "b.pgm"
