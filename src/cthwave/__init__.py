@@ -4,7 +4,6 @@ from cthwave.chaos import ChaosParams, LambdaStream, f1, f2, step_coupled
 from cthwave.cipher import KeySchedule, decrypt, encrypt
 from cthwave.wavelet import (
     ButterflyMatrix,
-    HaarMatrix,
     SubBands,
     build_level_matrix,
     classic_haar_matrix,
@@ -20,7 +19,6 @@ __all__ = [
     "f1",
     "f2",
     "step_coupled",
-    "HaarMatrix",
     "ButterflyMatrix",
     "SubBands",
     "classic_haar_matrix",

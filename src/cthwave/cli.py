@@ -85,10 +85,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     ks = load_key_file(args.key)
     if not 1 <= args.levels <= 4:
         raise ValueError(f"levels must be 1..4, got {args.levels}")
-    if img.width % (2**args.levels):
-        raise PgmError(
-            f"side {img.width} not divisible by 2^{args.levels}"
-        )
     streams = [LambdaStream(ks.stages[k], ks.burn_in) for k in range(args.levels)]
     tree = wavelet.decompose(
         img.pixels.astype(float), args.levels, streams, ks.normalized

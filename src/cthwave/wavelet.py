@@ -1,4 +1,4 @@
-"""Classic and sloped Haar wavelets, transform matrices, 2-D sub-band coding.
+"""Classic and sloped Haar wavelets, butterfly transforms, 2-D sub-band coding.
 
 The sloped variant replaces the flat scaling step by a line of slope
 lambda in [-2, 2], which makes the scaling coefficients
@@ -12,9 +12,9 @@ coefficients drawn from a lambda stream; it is stored as those n/2 blocks
 and applied in O(n^2) per 2-D transform with no BLAS.  Every block's
 coefficients are positive, so its |det| is at least (8/9) s^2 (s^2 = 1
 raw, 1/2 normalized) and each block is checked on its own.  Multilevel
-behaviour comes from recursive application to the LL quadrant.  Only the
-classic multi-level Haar matrix, which is not one butterfly stage, is held
-dense.
+behaviour comes from recursive application to the LL quadrant.  The
+classic multi-level Haar matrix, the lambda = 0 reference, is returned as a
+plain array.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "SlopedCoeffs",
-    "HaarMatrix",
     "ButterflyMatrix",
     "SubBands",
     "SingularMatrixError",
@@ -45,16 +44,14 @@ __all__ = [
     "reconstruct",
 ]
 
-# Determinant magnitude below which a butterfly block or a dense matrix is
-# rejected.
+# Determinant magnitude below which a butterfly block is rejected.
 DET_GATE = 1e-9
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class SingularMatrixError(RuntimeError):
-    """A butterfly block or a dense matrix failed the determinant check, or
-    a dense solve failed."""
+    """A butterfly block failed the determinant check."""
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,6 @@ def project_1d(samples: Sequence[float], level: int, lam: float) -> np.ndarray:
         # Close the interval on the right with the next sample (limit from
         # inside the interval: evaluate phi by its linear expression).
         if b <= x[-1]:
-            idx = np.flatnonzero(mask)
             xs = np.append(xs, b)
             ys = np.append(y[mask], np.interp(b, x, y))
         else:
@@ -146,51 +142,22 @@ def project_1d(samples: Sequence[float], level: int, lam: float) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
-class HaarMatrix:
-    """Dense transform matrix with its normalization convention recorded.
-
-    Used for the classic multi-level Haar matrix only; its whole-matrix
-    determinant check costs O(n^3).
-    """
-
-    entries: np.ndarray
-    normalized: bool
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if m.shape[0] % 2 or m.shape[0] < 2:
-            raise ValueError(f"dimension must be even and >= 2, got {m.shape[0]}")
-        _sign, logdet = np.linalg.slogdet(m)
-        if not (math.isfinite(logdet) and logdet > math.log(DET_GATE)):
-            raise SingularMatrixError(
-                f"|det| <= {DET_GATE} for {m.shape[0]}x{m.shape[0]} matrix"
-            )
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def classic_haar_matrix(n: int) -> HaarMatrix:
+def classic_haar_matrix(n: int) -> np.ndarray:
     """Standard orthonormal Haar transform matrix.
 
     Built by the Kronecker recursion H_{2m} = (1/sqrt 2) [H_m (x) (1, 1);
     I_m (x) (1, -1)]; for n = 4 this is exactly the textbook matrix with
     rows (1/2, 1/2, 1/2, 1/2), (1/2, 1/2, -1/2, -1/2), (1/sqrt2, -1/sqrt2,
-    0, 0), (0, 0, 1/sqrt2, -1/sqrt2).
+    0, 0), (0, 0, 1/sqrt2, -1/sqrt2).  n must be a power of two >= 2.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
-    return HaarMatrix(_classic_entries(n), normalized=True)
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"n must be a power of two >= 2, got {n}")
+    return _classic_entries(n)
 
 
 def _classic_entries(n: int) -> np.ndarray:
-    if n % 2:
-        return np.eye(n)
+    if n == 1:
+        return np.eye(1)
     top = np.kron(_classic_entries(n // 2), [1.0, 1.0])
     bottom = np.kron(np.eye(n // 2), [1.0, -1.0])
     return _INV_SQRT2 * np.vstack([top, bottom])
@@ -209,7 +176,6 @@ class ButterflyMatrix:
     a1: np.ndarray
     d1: np.ndarray
     d0: np.ndarray
-    normalized: bool
 
     def __post_init__(self) -> None:
         coeffs = [np.asarray(getattr(self, k), dtype=float)
@@ -270,8 +236,7 @@ def build_level_matrix(
     p0, p1 = _scaling_pair(lam)
     p0, p1 = scale * p0, scale * p1
     return ButterflyMatrix(
-        a0=p0[0:n:2], a1=p1[1:n:2], d1=p1[n::2], d0=p0[n + 1::2],
-        normalized=normalized,
+        a0=p0[0:n:2], a1=p1[1:n:2], d1=p1[n::2], d0=p0[n + 1::2]
     )
 
 
@@ -294,32 +259,21 @@ def _synthesis_rows(y: np.ndarray, h: ButterflyMatrix) -> np.ndarray:
     return x
 
 
-def forward_2d(m: np.ndarray, h: HaarMatrix | ButterflyMatrix) -> np.ndarray:
+def forward_2d(m: np.ndarray, h: ButterflyMatrix) -> np.ndarray:
     """Two-dimensional transform F = H M H^T (rows, then columns)."""
     m = np.asarray(m, dtype=float)
     if m.shape != (h.n, h.n):
         raise ValueError(f"matrix shape {m.shape} does not match n={h.n}")
-    if isinstance(h, ButterflyMatrix):
-        return _analysis_rows(_analysis_rows(m, h).T, h).T
-    return h.entries @ m @ h.entries.T
+    return _analysis_rows(_analysis_rows(m, h).T, h).T
 
 
-def inverse_2d(f: np.ndarray, h: HaarMatrix | ButterflyMatrix) -> np.ndarray:
-    """Inverse transform M = H^-1 F H^-T (rows, then columns).
-
-    Butterflies use each block's closed-form inverse; a dense matrix is
-    inverted by linear solves.
-    """
+def inverse_2d(f: np.ndarray, h: ButterflyMatrix) -> np.ndarray:
+    """Inverse transform M = H^-1 F H^-T (rows, then columns), through each
+    block's closed-form inverse."""
     f = np.asarray(f, dtype=float)
     if f.shape != (h.n, h.n):
         raise ValueError(f"matrix shape {f.shape} does not match n={h.n}")
-    if isinstance(h, ButterflyMatrix):
-        return _synthesis_rows(_synthesis_rows(f, h).T, h).T
-    try:
-        y = np.linalg.solve(h.entries, f)
-        return np.linalg.solve(h.entries, y.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
+    return _synthesis_rows(_synthesis_rows(f, h).T, h).T
 
 
 @dataclass

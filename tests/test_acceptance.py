@@ -60,10 +60,10 @@ def test_criterion_2_classic_haar_reduction():
     h1 = build_level_matrix(4, zeros, normalized=True).entries
     h2 = np.eye(4)
     h2[:2, :2] = build_level_matrix(2, zeros, normalized=True).entries
-    err4 = float(np.abs(h2 @ h1 - classic_haar_matrix(4).entries).max())
+    err4 = float(np.abs(h2 @ h1 - classic_haar_matrix(4)).max())
     ortho = max(
-        float(np.abs(classic_haar_matrix(n).entries
-                     @ classic_haar_matrix(n).entries.T - np.eye(n)).max())
+        float(np.abs(classic_haar_matrix(n)
+                     @ classic_haar_matrix(n).T - np.eye(n)).max())
         for n in (2, 4, 8, 16)
     )
     ok = err4 <= 1e-12 and ortho <= 1e-12

@@ -236,6 +236,15 @@ class TestCli:
         ll = read_pgm(out_dir / "L2_LL.pgm")
         assert (ll.width, ll.height) == (16, 16)
 
+    def test_transform_refuses_more_levels_than_the_side_allows(
+            self, tmp_path, key_path, capsys):
+        plain = tmp_path / "p.pgm"
+        write_pgm(GrayImage(synthetic_test_image(8)), plain)
+        rc = main(["transform", "--in", str(plain), "--key", str(key_path),
+                   "--levels", "4", "--out-dir", str(tmp_path / "bands")])
+        assert rc == 2
+        assert "not divisible into 4 levels" in capsys.readouterr().err
+
     def test_analyze_pairs_default(self):
         args = _build_parser().parse_args(["analyze", "--in", "x.pgm"])
         assert args.pairs == ANALYZE_PAIRS == 1_000_000
