@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cthwave.chaos import ChaosParams, LambdaStream
+from cthwave.chaos import DEFAULT_BURN_IN, ChaosParams, LambdaStream
 from cthwave.wavelet import (
     SubBands,
     build_level_matrix,
@@ -67,7 +67,7 @@ class KeySchedule:
     """
 
     stages: tuple[ChaosParams, ChaosParams, ChaosParams, ChaosParams]
-    burn_in: int = 64
+    burn_in: int = DEFAULT_BURN_IN
     normalized: bool = False
     mode: str = "keystream"
 
@@ -185,7 +185,7 @@ def spiral_swap(sb: SubBands) -> tuple[SubBands, SwapRecord]:
         (SWAP_BANDS[i % 3], (r + 1, c + 1), (pr + 1, pc + 1))
         for i, (r, c, pr, pc) in enumerate(zip(*(a.tolist() for a in coords)))
     )
-    return split_subbands(merged, sb.level), SwapRecord(record)
+    return split_subbands(merged), SwapRecord(record)
 
 
 def chaotic_image(m: np.ndarray, ks: KeySchedule) -> np.ndarray:
@@ -195,6 +195,9 @@ def chaotic_image(m: np.ndarray, ks: KeySchedule) -> np.ndarray:
     top-left quadrant), the level-2 then level-1 spiral swaps as one cached
     gather, then two inverse levels with fresh matrices (stages 3-4).
     Quadrants too small for the spiral (side < 4) pass through unswapped.
+    This equals wavelet.decompose, the gather, then wavelet.reconstruct; the
+    four calls stay inline until the library times its own layers (ROADMAP
+    item 1), because the benchmark wraps them here by name.
     """
     m = np.asarray(m, dtype=float)
     _check_side(m.shape, "image")
@@ -222,9 +225,10 @@ def quantize(f: np.ndarray) -> np.ndarray:
 
 
 def xor_combine(f_bytes: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Bitwise XOR per pixel."""
-    f_bytes = np.asarray(f_bytes, dtype=np.uint8)
-    m = np.asarray(m, dtype=np.uint8)
+    """Bitwise XOR per pixel of two uint8 arrays; other dtypes are refused."""
+    f_bytes, m = np.asarray(f_bytes), np.asarray(m)
+    if f_bytes.dtype != np.uint8 or m.dtype != np.uint8:
+        raise ValueError(f"xor_combine needs uint8, got {f_bytes.dtype} and {m.dtype}")
     if f_bytes.shape != m.shape:
         raise ValueError(f"shape mismatch: {f_bytes.shape} vs {m.shape}")
     return np.bitwise_xor(f_bytes, m)
@@ -236,8 +240,7 @@ def keystream_image(ks: KeySchedule, n: int) -> np.ndarray:
     Driven by a dedicated stream on the stage-1 parameters with an extra
     burn-in offset; each pixel is floor(frac(x) * 256) for one iterate x.
     """
-    if n <= 0 or n % 4:
-        raise ValueError(f"side must be positive and divisible by 4, got {n}")
+    _check_side((n, n), "side")
     stream = LambdaStream(ks.stages[0], ks.burn_in + KEYSTREAM_BURN_OFFSET)
     x = np.frombuffer(stream.orbit(n * n), dtype=float)
     b = np.floor(x)
@@ -250,7 +253,7 @@ def keystream_image(ks: KeySchedule, n: int) -> np.ndarray:
 def _check_side(shape: tuple[int, ...], name: str) -> None:
     """Refuse any shape but a square one of side 4, 12 or a multiple of 8."""
     n = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
-    if n not in (4, 12) and (n == 0 or n % 8):
+    if n not in (4, 12) and (n <= 0 or n % 8):
         raise ValueError(f"{name} must be square with side 4, 12 or a multiple "
                          f"of 8, got shape {shape}")
 

@@ -11,14 +11,7 @@ import numpy as np
 
 from cthwave import cipher, metrics, wavelet
 from cthwave.chaos import LambdaStream, StreamDegeneracyError
-from cthwave.imageio import (
-    GrayImage,
-    PgmError,
-    read_pgm,
-    require_square_pow2,
-    rescale_to_bytes,
-    write_pgm,
-)
+from cthwave.imageio import GrayImage, PgmError, read_pgm, rescale_to_bytes, write_pgm
 from cthwave.keyfile import KeyFileError, load_key_file
 from cthwave.wavelet import SingularMatrixError
 
@@ -81,22 +74,20 @@ def _build_parser() -> _Parser:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     img = read_pgm(args.infile)
-    require_square_pow2(img)
     ks = load_key_file(args.key)
     if not 1 <= args.levels <= 4:
         raise ValueError(f"levels must be 1..4, got {args.levels}")
     streams = [LambdaStream(ks.stages[k], ks.burn_in) for k in range(args.levels)]
-    tree = wavelet.decompose(
-        img.pixels.astype(float), args.levels, streams, ks.normalized
-    )
+    f = wavelet.decompose(img.pixels, streams, ks.normalized)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for bands in tree:
-        quads = {"LH": bands.lh, "HL": bands.hl, "HH": bands.hh}
-        if bands.level == len(tree):
-            quads["LL"] = bands.ll
+    for level in range(1, args.levels + 1):
+        h = f.shape[0] >> level
+        quads = {"LH": f[h:2 * h, :h], "HL": f[:h, h:2 * h], "HH": f[h:2 * h, h:2 * h]}
+        if level == args.levels:
+            quads["LL"] = f[:h, :h]
         for name, values in quads.items():
-            path = out_dir / f"L{bands.level}_{name}.pgm"
+            path = out_dir / f"L{level}_{name}.pgm"
             write_pgm(GrayImage(rescale_to_bytes(values)), path)
             print(f"wrote {path}")
     return EXIT_OK

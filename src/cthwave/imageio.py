@@ -13,13 +13,9 @@ __all__ = [
     "PgmError",
     "read_pgm",
     "write_pgm",
-    "require_square_pow2",
     "rescale_to_bytes",
     "synthetic_test_image",
 ]
-
-MIN_SIDE = 8
-
 
 class PgmError(ValueError):
     """Malformed or unsupported PGM data."""
@@ -46,16 +42,6 @@ class GrayImage:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-
-def require_square_pow2(img: GrayImage) -> None:
-    """Reject images that are not square with a power-of-two side >= MIN_SIDE
-    (the gate of `cthwave transform`; the cipher checks its own sides)."""
-    w, h = img.width, img.height
-    if w != h:
-        raise PgmError(f"image must be square, got {w}x{h}")
-    if w < MIN_SIDE or w & (w - 1):
-        raise PgmError(f"side must be a power of two >= {MIN_SIDE}, got {w}")
 
 
 def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:

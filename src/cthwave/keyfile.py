@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Union
 
 from cthwave.chaos import ChaosParams
-from cthwave.cipher import MODES, KeySchedule
+from cthwave.cipher import KeySchedule
 
 __all__ = ["KeyFileError", "parse_key_file", "load_key_file", "format_key_file"]
 
@@ -69,17 +69,19 @@ def parse_key_file(text: str) -> KeySchedule:
                 _fail(lineno, f"duplicate key {name!r} in stage {current}")
             stages[current][name] = (value, lineno)
 
-    burn_in = _parse_int("burn_in", globals_.get("burn_in", "64"))
-    if burn_in < 0:
-        raise KeyFileError(f"burn_in must be >= 0, got {burn_in}")
-    normalization = globals_.get("normalization", "raw")
-    if normalization not in ("raw", "normalized"):
-        raise KeyFileError(
-            f"normalization must be 'raw' or 'normalized', got {normalization!r}"
-        )
-    mode = globals_.get("mode", "keystream")
-    if mode not in MODES:
-        raise KeyFileError(f"mode must be one of {MODES}, got {mode!r}")
+    # Settings the file leaves out take KeySchedule's defaults; it checks them.
+    settings: dict[str, object] = {}
+    if "burn_in" in globals_:
+        settings["burn_in"] = _parse_int("burn_in", globals_["burn_in"])
+    if "mode" in globals_:
+        settings["mode"] = globals_["mode"]
+    normalization = globals_.get("normalization")
+    if normalization is not None:
+        if normalization not in ("raw", "normalized"):
+            raise KeyFileError(
+                f"normalization must be 'raw' or 'normalized', got {normalization!r}"
+            )
+        settings["normalized"] = normalization == "normalized"
 
     params = []
     for idx in range(1, 5):
@@ -87,12 +89,10 @@ def parse_key_file(text: str) -> KeySchedule:
             raise KeyFileError(f"missing [stage {idx}] block")
         params.append(_parse_stage(idx, stages[idx]))
 
-    return KeySchedule(
-        stages=tuple(params),
-        burn_in=burn_in,
-        normalized=(normalization == "normalized"),
-        mode=mode,
-    )
+    try:
+        return KeySchedule(stages=tuple(params), **settings)
+    except ValueError as exc:
+        raise KeyFileError(str(exc)) from exc
 
 
 def _parse_stage(idx: int, fields: dict[str, tuple[str, int]]) -> ChaosParams:

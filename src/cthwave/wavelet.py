@@ -12,7 +12,8 @@ coefficients drawn from a lambda stream; it is stored as those n/2 blocks
 and applied in O(n^2) per 2-D transform with no BLAS.  Every block's
 coefficients are positive, so its |det| is at least (8/9) s^2 (s^2 = 1
 raw, 1/2 normalized) and each block is checked on its own.  Multilevel
-behaviour comes from recursive application to the LL quadrant.  The
+behaviour comes from recursive application to the LL quadrant, in place on
+one n x n array (the pyramid layout of Mallat, 1989).  The
 classic multi-level Haar matrix, the lambda = 0 reference, is returned as a
 plain array.
 """
@@ -278,13 +279,13 @@ def inverse_2d(f: np.ndarray, h: ButterflyMatrix) -> np.ndarray:
 
 @dataclass
 class SubBands:
-    """One-level quadrant decomposition (approximation plus three details)."""
+    """One-level quadrant decomposition (approximation plus three details),
+    the argument type of cipher.spiral_swap."""
 
     ll: np.ndarray
     lh: np.ndarray
     hl: np.ndarray
     hh: np.ndarray
-    level: int = 1
 
     def __post_init__(self) -> None:
         shapes = {b.shape for b in (self.ll, self.lh, self.hl, self.hh)}
@@ -292,7 +293,7 @@ class SubBands:
             raise ValueError(f"quadrants must share one shape, got {shapes}")
 
 
-def split_subbands(f: np.ndarray, level: int = 1) -> SubBands:
+def split_subbands(f: np.ndarray) -> SubBands:
     """Split a transformed matrix into LL / HL / LH / HH quadrants."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 2:
@@ -303,7 +304,6 @@ def split_subbands(f: np.ndarray, level: int = 1) -> SubBands:
         hl=f[:h, h:].copy(),
         lh=f[h:, :h].copy(),
         hh=f[h:, h:].copy(),
-        level=level,
     )
 
 
@@ -312,67 +312,51 @@ def merge_subbands(sb: SubBands) -> np.ndarray:
     return np.block([[sb.ll, sb.hl], [sb.lh, sb.hh]])
 
 
+def _pyramid(x: np.ndarray, levels: int) -> np.ndarray:
+    """A float copy of x, refused unless square with a side 2^levels divides."""
+    x = np.array(x, dtype=float)
+    n = x.shape[0] if x.ndim == 2 and x.shape[0] == x.shape[1] else 0
+    if levels < 1 or n == 0 or n % 2**levels:
+        raise ValueError(f"image shape {x.shape} not divisible into {levels} levels")
+    return x
+
+
 def decompose(
     image: np.ndarray,
-    levels: int,
     streams: Sequence[Iterator[float]],
     normalized: bool = False,
-) -> list[SubBands]:
-    """Multilevel sub-band decomposition with one fresh matrix per level.
+) -> np.ndarray:
+    """Multilevel decomposition in the pyramid layout, one level per stream.
 
-    Level 1 transforms the full image; each deeper level transforms the
-    previous LL quadrant with a matrix built from that level's stream.
-    Returns one SubBands per level; entry k's ll holds the approximation at
-    that level before any deeper decomposition (the deepest entry's ll is
-    the final approximation).
+    Level k transforms the top-left n/2^(k-1) square in place with a fresh
+    matrix built from streams[k-1].  Level k's LH / HL / HH sit in the
+    quadrants of that square; the deepest approximation is the top-left
+    n/2^levels square.
     """
-    image = np.asarray(image, dtype=float)
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    if len(streams) < levels:
-        raise ValueError(f"need {levels} streams, got {len(streams)}")
-    n = image.shape[0]
-    if image.shape != (n, n) or n % (2**levels):
-        raise ValueError(
-            f"image shape {image.shape} not divisible into {levels} levels"
-        )
-    tree: list[SubBands] = []
-    current = image
-    for lvl in range(1, levels + 1):
-        h = build_level_matrix(current.shape[0], streams[lvl - 1], normalized)
-        bands = split_subbands(forward_2d(current, h), level=lvl)
-        tree.append(bands)
-        current = bands.ll
-    return tree
+    f = _pyramid(image, len(streams))
+    for k, stream in enumerate(streams):
+        s = f.shape[0] >> k
+        f[:s, :s] = forward_2d(f[:s, :s], build_level_matrix(s, stream, normalized))
+    return f
 
 
 def reconstruct(
-    tree: Sequence[SubBands],
+    f: np.ndarray,
     streams: Sequence[Iterator[float]],
     normalized: bool = False,
 ) -> np.ndarray:
     """Invert decompose, deepest level first.
 
-    Streams must replay the same slope material used for decomposition (same
-    parameters and burn-in per level); matrices are rebuilt from them.  For
-    every level above the deepest, the stored ll is ignored in favour of the
-    approximation reconstructed from below.
+    Streams must replay the slope material used for decomposition (same
+    parameters and burn-in per level).  Every matrix is built, shallowest
+    first as decompose drew them, before any is applied, so one stream may
+    serve several levels.
     """
-    if not tree:
-        raise ValueError("empty decomposition tree")
-    levels = len(tree)
-    if len(streams) < levels:
-        raise ValueError(f"need {levels} streams, got {len(streams)}")
+    m = _pyramid(f, len(streams))
     matrices = [
-        build_level_matrix(2 * tree[k].lh.shape[0], streams[k], normalized)
-        for k in range(levels)
+        build_level_matrix(m.shape[0] >> k, stream, normalized)
+        for k, stream in enumerate(streams)
     ]
-    current = tree[-1].ll
-    for k in range(levels - 1, -1, -1):
-        bands = tree[k]
-        merged = merge_subbands(
-            SubBands(ll=current, lh=bands.lh, hl=bands.hl, hh=bands.hh,
-                     level=bands.level)
-        )
-        current = inverse_2d(merged, matrices[k])
-    return current
+    for h in reversed(matrices):
+        m[:h.n, :h.n] = inverse_2d(m[:h.n, :h.n], h)
+    return m

@@ -91,8 +91,8 @@ def test_criterion_4_perfect_reconstruction():
     for _ in range(100):
         p1, p2 = random_chaos_params(rng), random_chaos_params(rng)
         img = rng.uniform(0.0, 255.0, (128, 128))
-        tree = decompose(img, 2, [LambdaStream(p1, 64), LambdaStream(p2, 64)])
-        rec = reconstruct(tree, [LambdaStream(p1, 64), LambdaStream(p2, 64)])
+        f = decompose(img, [LambdaStream(p1, 64), LambdaStream(p2, 64)])
+        rec = reconstruct(f, [LambdaStream(p1, 64), LambdaStream(p2, 64)])
         worst = max(worst, float(np.abs(rec - img).max()))
     report(4, worst < 1e-6,
            f"worst reconstruction error {worst:.2e} over 100 keys, "

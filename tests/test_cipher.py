@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cthwave import cipher
-from cthwave.chaos import ChaosParams
+from cthwave.chaos import ChaosParams, LambdaStream
 from cthwave.cipher import (
     MASK_CACHE_SIZE,
     MIN_SWAP_SIDE,
@@ -24,7 +24,7 @@ from cthwave.cipher import (
     xor_combine,
 )
 from cthwave.metrics import entropy_normalized, npcr
-from cthwave.wavelet import SubBands
+from cthwave.wavelet import SubBands, decompose, reconstruct
 
 from conftest import _swap_pairs, random_key_schedule
 
@@ -175,6 +175,16 @@ class TestXor:
         with pytest.raises(ValueError):
             xor_combine(np.zeros((2, 2), np.uint8), np.zeros((3, 3), np.uint8))
 
+    @pytest.mark.parametrize("x", [
+        np.array([[256, 257]], dtype=np.int32),
+        np.array([[1.9, -1.0]]),
+    ])
+    def test_non_uint8_refused(self, x):
+        with pytest.raises(ValueError, match=str(x.dtype)):
+            xor_combine(x, np.zeros((1, 2), np.uint8))
+        with pytest.raises(ValueError, match=str(x.dtype)):
+            xor_combine(np.zeros((1, 2), np.uint8), x)
+
 
 class TestChaoticImage:
     def test_zero_image_maps_to_zero(self, default_keystream_key):
@@ -192,6 +202,19 @@ class TestChaoticImage:
         with pytest.raises(ValueError):
             chaotic_image(np.zeros((6, 6)), default_keystream_key)
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("n", [4, 12, 16, 64])
+    def test_is_decompose_gather_reconstruct(self, n, normalized):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            ks = random_key_schedule(rng, normalized=normalized)
+            m = rng.integers(0, 256, (n, n)).astype(np.uint8)
+            s1, s2, s3, s4 = (LambdaStream(p, ks.burn_in) for p in ks.stages)
+            f = decompose(m, (s1, s2), normalized)
+            f = f.reshape(-1)[cipher._mask_perm(n)].reshape(n, n)
+            expected = reconstruct(f, (s4, s3), normalized)
+            assert chaotic_image(m, ks).tobytes() == expected.tobytes()
+
     def test_brightness_redistributed(self, default_literal_key):
         # sub-image energy is far more uniform than a plain decomposition:
         # the mask histogram must be much flatter than the input's
@@ -203,6 +226,10 @@ class TestChaoticImage:
 
 
 class TestKeystream:
+    def test_refuses_a_side_the_cipher_refuses(self, default_keystream_key):
+        with pytest.raises(ValueError, match="side 4, 12 or a multiple of 8"):
+            keystream_image(default_keystream_key, 20)
+
     def test_deterministic(self, default_keystream_key):
         a = keystream_image(default_keystream_key, 32)
         b = keystream_image(default_keystream_key, 32)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from cthwave.cipher import KeySchedule
 from cthwave.cli import ANALYZE_PAIRS, _build_parser, main
 from cthwave.imageio import (
     GrayImage,
     PgmError,
     read_pgm,
     rescale_to_bytes,
-    require_square_pow2,
     synthetic_test_image,
     write_pgm,
 )
@@ -116,13 +116,6 @@ class TestPgm:
         with pytest.raises(PgmError, match="truncated"):
             read_pgm(path)
 
-    def test_cipher_shape_gate(self):
-        with pytest.raises(PgmError):
-            require_square_pow2(GrayImage(np.zeros((8, 16), np.uint8)))
-        with pytest.raises(PgmError):
-            require_square_pow2(GrayImage(np.zeros((12, 12), np.uint8)))
-        require_square_pow2(GrayImage(np.zeros((64, 64), np.uint8)))
-
     def test_rescale(self):
         v = np.array([[0.0, 1.0], [2.0, 3.0]])
         out = rescale_to_bytes(v)
@@ -177,6 +170,19 @@ class TestKeyFile:
         bad = GOOD_KEY.replace("x0 = 0.2", "x0 = two")
         with pytest.raises(KeyFileError, match="line"):
             parse_key_file(bad)
+
+    @pytest.mark.parametrize("line, bad", [
+        ("burn_in = 16", "burn_in = -1"),
+        ("mode = keystream", "mode = bogus"),
+        ("normalization = raw", "normalization = wavelet"),
+    ])
+    def test_bad_global_setting_names_the_field(self, line, bad):
+        with pytest.raises(KeyFileError, match=bad.split()[0]):
+            parse_key_file(GOOD_KEY.replace(line, bad))
+
+    def test_missing_global_settings_take_the_schedule_defaults(self):
+        ks = parse_key_file(GOOD_KEY.split("\n\n", 1)[1])
+        assert ks == KeySchedule(ks.stages)
 
 
 class TestCli:
@@ -244,6 +250,23 @@ class TestCli:
                    "--levels", "4", "--out-dir", str(tmp_path / "bands")])
         assert rc == 2
         assert "not divisible into 4 levels" in capsys.readouterr().err
+
+    def test_transform_takes_every_side_decompose_takes(self, tmp_path, key_path,
+                                                         capsys):
+        plain = tmp_path / "p.pgm"
+        write_pgm(GrayImage(synthetic_test_image(12)), plain)
+        assert main(["transform", "--in", str(plain), "--key", str(key_path),
+                     "--levels", "2", "--out-dir", str(tmp_path / "bands")]) == 0
+        ll = read_pgm(tmp_path / "bands" / "L2_LL.pgm")
+        assert (ll.width, ll.height) == (3, 3)
+
+    def test_transform_refuses_a_non_square_image(self, tmp_path, key_path, capsys):
+        plain = tmp_path / "p.pgm"
+        write_pgm(GrayImage(np.zeros((8, 16), np.uint8)), plain)
+        rc = main(["transform", "--in", str(plain), "--key", str(key_path),
+                   "--levels", "1", "--out-dir", str(tmp_path / "bands")])
+        assert rc == 2
+        assert "not divisible into 1 levels" in capsys.readouterr().err
 
     def test_analyze_pairs_default(self):
         args = _build_parser().parse_args(["analyze", "--in", "x.pgm"])
