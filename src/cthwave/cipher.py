@@ -72,8 +72,13 @@ class KeySchedule:
     mode: str = "keystream"
 
     def __post_init__(self) -> None:
-        if len(self.stages) != 4:
-            raise ValueError(f"expected 4 stage parameter sets, got {len(self.stages)}")
+        if not (isinstance(self.stages, tuple) and len(self.stages) == 4
+                and all(isinstance(p, ChaosParams) for p in self.stages)):
+            raise ValueError(
+                f"stages must be a tuple of 4 ChaosParams, got {self.stages!r}"
+            )
+        if not isinstance(self.burn_in, int):
+            raise ValueError(f"burn_in must be an integer, got {self.burn_in!r}")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.mode not in MODES:

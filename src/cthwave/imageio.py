@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -16,6 +17,12 @@ __all__ = [
     "rescale_to_bytes",
     "synthetic_test_image",
 ]
+
+# One header field after optional whitespace and # comments.  A comment runs
+# to the end of its line (or of the data): the lookahead stops backtracking
+# from splitting it into a token.
+_HEADER_FIELD = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
+
 
 class PgmError(ValueError):
     """Malformed or unsupported PGM data."""
@@ -44,36 +51,18 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
-def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:
-    """Read whitespace-separated header tokens, skipping # comments."""
-    tokens: list[bytes] = []
-    i = start
-    while len(tokens) < count:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < len(data) and not data[j : j + 1].isspace():
-            j += 1
-        if j == i:
-            raise PgmError("truncated PGM header")
-        tokens.append(data[i:j])
-        i = j
-    return tokens, i
-
-
 def read_pgm(path: Union[str, Path]) -> GrayImage:
     """Read a binary PGM (magic P5, maxval 255); comments permitted."""
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise PgmError("not a binary PGM (missing P5 magic)")
-    try:
-        tokens, pos = _read_header_tokens(data, 3, start=2)
-    except PgmError:
-        raise PgmError(f"{path}: truncated PGM header") from None
+    tokens, pos = [], 2
+    for _ in range(3):
+        m = _HEADER_FIELD.match(data, pos)
+        if m is None:
+            raise PgmError(f"{path}: truncated PGM header")
+        tokens.append(m.group(1))
+        pos = m.end()
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:

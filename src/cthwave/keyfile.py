@@ -2,8 +2,10 @@
 
 Format: global ``name = value`` lines (burn_in, normalization, mode)
 followed by four ``[stage N]`` blocks, each holding x0, N1, N2, a1, a2 and
-eps.  Blank lines and ``#`` comments are ignored.  Every rejection names
-the offending line.
+eps.  Blank lines and ``#`` comments are ignored; settings left out take
+KeySchedule's defaults.  ChaosParams checks each stage's values, KeySchedule
+the settings.  Every rejection of a line or value names its line, global
+settings included; a missing block or stage parameter is named instead.
 """
 
 from __future__ import annotations
@@ -17,15 +19,34 @@ from cthwave.cipher import KeySchedule
 
 __all__ = ["KeyFileError", "parse_key_file", "load_key_file", "format_key_file"]
 
-STAGE_KEYS = ("x0", "N1", "N2", "a1", "a2", "eps")
-GLOBAL_KEYS = ("burn_in", "normalization", "mode")
+# Name in the file -> (constructor field, parser, what the parser accepts).
+# A refused value's line is found by one rule: ChaosParams and KeySchedule
+# start every ValueError message with the value's name as the file writes it
+# (``N1``, not ``n1``), so the first word of the message names the field.
+_GLOBAL_FIELDS = {
+    "burn_in": ("burn_in", int, "an integer"),
+    "normalization": (
+        "normalized",
+        {"raw": False, "normalized": True}.__getitem__,
+        "'raw' or 'normalized'",
+    ),
+    "mode": ("mode", str, "a string"),
+}
+_STAGE_FIELDS = {
+    "x0": ("x0", float, "a number"),
+    "N1": ("n1", int, "an integer"),
+    "N2": ("n2", int, "an integer"),
+    "a1": ("a1", float, "a number"),
+    "a2": ("a2", float, "a number"),
+    "eps": ("eps", float, "a number"),
+}
 
 _STAGE_RE = re.compile(r"\[\s*stage\s+([0-9]+)\s*\]$")
 _ASSIGN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)$")
 
 
 class KeyFileError(ValueError):
-    """Key file rejected; the message names the line or parameter."""
+    """Key file rejected; the message names the line, block or parameter."""
 
 
 def _fail(lineno: int, msg: str) -> None:
@@ -34,9 +55,9 @@ def _fail(lineno: int, msg: str) -> None:
 
 def parse_key_file(text: str) -> KeySchedule:
     """Parse and fully validate a key file."""
-    globals_: dict[str, str] = {}
-    stages: dict[int, dict[str, tuple[str, int]]] = {}
-    current: int | None = None
+    # Section (0 for the globals, else the stage) -> name -> (value, line).
+    sections: dict[int, dict[str, tuple[object, int]]] = {0: {}}
+    current = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -47,97 +68,48 @@ def parse_key_file(text: str) -> KeySchedule:
             idx = int(m.group(1))
             if not 1 <= idx <= 4:
                 _fail(lineno, f"stage number must be 1..4, got {idx}")
-            if idx in stages:
+            if idx in sections:
                 _fail(lineno, f"duplicate [stage {idx}] block")
-            stages[idx] = {}
+            sections[idx] = {}
             current = idx
             continue
         m = _ASSIGN_RE.match(line)
         if not m:
             _fail(lineno, f"expected 'name = value', got {line!r}")
-        name, value = m.group(1), m.group(2)
-        if current is None:
-            if name not in GLOBAL_KEYS:
-                _fail(lineno, f"unknown global key {name!r}")
-            if name in globals_:
-                _fail(lineno, f"duplicate global key {name!r}")
-            globals_[name] = value
-        else:
-            if name not in STAGE_KEYS:
-                _fail(lineno, f"unknown stage key {name!r}")
-            if name in stages[current]:
-                _fail(lineno, f"duplicate key {name!r} in stage {current}")
-            stages[current][name] = (value, lineno)
-
-    # Settings the file leaves out take KeySchedule's defaults; it checks them.
-    settings: dict[str, object] = {}
-    if "burn_in" in globals_:
-        settings["burn_in"] = _parse_int("burn_in", globals_["burn_in"])
-    if "mode" in globals_:
-        settings["mode"] = globals_["mode"]
-    normalization = globals_.get("normalization")
-    if normalization is not None:
-        if normalization not in ("raw", "normalized"):
-            raise KeyFileError(
-                f"normalization must be 'raw' or 'normalized', got {normalization!r}"
-            )
-        settings["normalized"] = normalization == "normalized"
+        name, value = m.groups()
+        table = _STAGE_FIELDS if current else _GLOBAL_FIELDS
+        fields = sections[current]
+        if name not in table:
+            _fail(lineno, f"unknown {'stage' if current else 'global'} key {name!r}")
+        if name in fields:
+            _fail(lineno, f"duplicate key {name!r} in stage {current}" if current
+                  else f"duplicate global key {name!r}")
+        _, parse, accepts = table[name]
+        try:
+            fields[name] = (parse(value), lineno)
+        except (ValueError, KeyError):
+            _fail(lineno, f"{name} must be {accepts}, got {value!r}")
 
     params = []
     for idx in range(1, 5):
-        if idx not in stages:
+        if idx not in sections:
             raise KeyFileError(f"missing [stage {idx}] block")
-        params.append(_parse_stage(idx, stages[idx]))
+        for name in _STAGE_FIELDS:
+            if name not in sections[idx]:
+                raise KeyFileError(f"stage {idx}: missing parameter {name!r}")
+        params.append(_build(ChaosParams, _STAGE_FIELDS, sections[idx],
+                             f"stage {idx} (line {{}})"))
+    return _build(KeySchedule, _GLOBAL_FIELDS, sections[0], "line {}",
+                  stages=tuple(params))
 
+
+def _build(cls, table: dict, fields: dict, where: str, **given):
+    """``cls`` from parsed fields; a refusal names the line of its field."""
     try:
-        return KeySchedule(stages=tuple(params), **settings)
+        return cls(**given, **{table[name][0]: v for name, (v, _) in fields.items()})
     except ValueError as exc:
-        raise KeyFileError(str(exc)) from exc
-
-
-def _parse_stage(idx: int, fields: dict[str, tuple[str, int]]) -> ChaosParams:
-    for key in STAGE_KEYS:
-        if key not in fields:
-            raise KeyFileError(f"stage {idx}: missing parameter {key!r}")
-    vals: dict[str, float | int] = {}
-    for key, (text, lineno) in fields.items():
-        if key in ("N1", "N2"):
-            vals[key] = _parse_int(key, text, lineno)
-        else:
-            vals[key] = _parse_float(key, text, lineno)
-    try:
-        return ChaosParams(
-            x0=vals["x0"],
-            n1=vals["N1"],
-            n2=vals["N2"],
-            a1=vals["a1"],
-            a2=vals["a2"],
-            eps=vals["eps"],
-        )
-    except ValueError as exc:
-        line = fields[_offending_key(str(exc))][1] if _offending_key(str(exc)) in fields else "?"
-        raise KeyFileError(f"stage {idx} (line {line}): {exc}") from exc
-
-
-def _offending_key(message: str) -> str:
-    first = message.split()[0] if message else ""
-    return first if first in STAGE_KEYS else ""
-
-
-def _parse_int(name: str, text: str, lineno: int | None = None) -> int:
-    where = f"line {lineno}: " if lineno else ""
-    try:
-        return int(text)
-    except ValueError:
-        raise KeyFileError(f"{where}{name} must be an integer, got {text!r}") from None
-
-
-def _parse_float(name: str, text: str, lineno: int | None = None) -> float:
-    where = f"line {lineno}: " if lineno else ""
-    try:
-        return float(text)
-    except ValueError:
-        raise KeyFileError(f"{where}{name} must be a number, got {text!r}") from None
+        _, lineno = fields.get(str(exc).split(" ", 1)[0], (None, "?"))
+        raise KeyFileError(f"{where.format(lineno)}: {exc}") from exc
 
 
 def load_key_file(path: Union[str, Path]) -> KeySchedule:
@@ -152,14 +124,7 @@ def format_key_file(ks: KeySchedule) -> str:
         f"mode = {ks.mode}",
     ]
     for idx, p in enumerate(ks.stages, start=1):
-        lines += [
-            "",
-            f"[stage {idx}]",
-            f"x0 = {p.x0!r}",
-            f"N1 = {p.n1}",
-            f"N2 = {p.n2}",
-            f"a1 = {p.a1!r}",
-            f"a2 = {p.a2!r}",
-            f"eps = {p.eps!r}",
-        ]
+        lines += ["", f"[stage {idx}]"]
+        lines += [f"{name} = {getattr(p, field)!r}"
+                  for name, (field, _, _) in _STAGE_FIELDS.items()]
     return "\n".join(lines) + "\n"

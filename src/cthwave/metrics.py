@@ -64,17 +64,17 @@ def mean_intensity(img: np.ndarray) -> float:
     return float(np.mean(_as_bytes(img), dtype=np.float64))
 
 
-def entropy_normalized(img: np.ndarray, levels: int = 256) -> float:
-    """Shannon entropy of the grey-level histogram over log2(levels).
+def entropy_normalized(img: np.ndarray) -> float:
+    """Shannon entropy of the grey-level histogram over log2(256) = 8 bits.
 
     Empty bins contribute zero (the x log(1/x) -> 0 limit).
     """
-    counts = np.bincount(_as_bytes(img).ravel(), minlength=levels)
+    counts = histogram(img)
     n = counts.sum()
     if n == 0:
         raise ValueError("empty image")
     p = counts[counts > 0] / n
-    return float(-(p * np.log2(p)).sum() / math.log2(levels))
+    return float(-(p * np.log2(p)).sum() / 8.0)
 
 
 def correlation_adjacent(
@@ -92,6 +92,8 @@ def correlation_adjacent(
     img = _as_bytes(img)
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {sorted(DIRECTIONS)}")
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     dr, dc = DIRECTIONS[direction]
     h, w = img.shape
     if h - dr < 1 or w - dc < 1:

@@ -515,3 +515,13 @@ class TestKeySchedule:
         p = ChaosParams(0.2, 3, 4, 2.0, 2.5, 0.4)
         with pytest.raises(ValueError):
             KeySchedule(stages=(p, p, p, p), mode="ecb")
+
+    # Each of these used to be accepted and then fail inside the first encrypt.
+    @pytest.mark.parametrize("stages, burn_in, match", [
+        ([ChaosParams(0.2, 3, 4, 2.0, 2.5, 0.4)] * 4, 16, "stages"),
+        (((0.2, 3, 4, 2.0, 2.5, 0.4),) * 4, 16, "stages"),
+        ((ChaosParams(0.2, 3, 4, 2.0, 2.5, 0.4),) * 4, 1.5, "burn_in"),
+    ], ids=["list", "plain-tuples", "float-burn-in"])
+    def test_rejects_malformed_schedule(self, stages, burn_in, match):
+        with pytest.raises(ValueError, match=match):
+            KeySchedule(stages=stages, burn_in=burn_in)

@@ -110,6 +110,13 @@ class TestPgm:
         with pytest.raises(PgmError, match="maxval"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\n4 4\n# 255", b"P5 4 4 #x y"])
+    def test_header_ending_inside_a_comment_is_truncated(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header)
+        with pytest.raises(PgmError, match="truncated PGM header"):
+            read_pgm(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
@@ -178,6 +185,15 @@ class TestKeyFile:
     ])
     def test_bad_global_setting_names_the_field(self, line, bad):
         with pytest.raises(KeyFileError, match=bad.split()[0]):
+            parse_key_file(GOOD_KEY.replace(line, bad))
+
+    @pytest.mark.parametrize("line, bad, lineno", [
+        ("burn_in = 16", "burn_in = -1", 1),
+        ("mode = keystream", "mode = bogus", 3),
+        ("normalization = raw", "normalization = wavelet", 2),
+    ])
+    def test_bad_global_setting_names_its_line(self, line, bad, lineno):
+        with pytest.raises(KeyFileError, match=f"^line {lineno}: {bad.split()[0]} "):
             parse_key_file(GOOD_KEY.replace(line, bad))
 
     def test_missing_global_settings_take_the_schedule_defaults(self):
@@ -267,6 +283,11 @@ class TestCli:
                    "--levels", "1", "--out-dir", str(tmp_path / "bands")])
         assert rc == 2
         assert "not divisible into 1 levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pairs", ["0", "-1"])
+    def test_analyze_refuses_fewer_than_one_pair(self, image_path, capsys, pairs):
+        assert main(["analyze", "--in", str(image_path), "--pairs", pairs]) == 2
+        assert "n_pairs" in capsys.readouterr().err
 
     def test_analyze_pairs_default(self):
         args = _build_parser().parse_args(["analyze", "--in", "x.pgm"])

@@ -132,6 +132,12 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             correlation_adjacent(np.zeros((8, 8), np.uint8), "antidiagonal")
 
+    @pytest.mark.parametrize("n_pairs", [0, -1])
+    def test_fewer_than_one_pair_rejected(self, n_pairs):
+        img = np.random.default_rng(4).integers(0, 256, (8, 8), dtype=np.uint8)
+        with pytest.raises(ValueError, match="n_pairs"):
+            correlation_adjacent(img, "horizontal", n_pairs=n_pairs)
+
 
 class TestNpcrUaci:
     def test_equal_images(self):
