@@ -19,6 +19,8 @@ import math
 from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ChaosParams",
     "LambdaStream",
@@ -187,6 +189,12 @@ class LambdaStream:
             append(x)
         self.state = x
         return out
+
+    def lambdas(self, count: int) -> np.ndarray:
+        """Advance ``count`` steps and fold the iterates as ``next_lambda``
+        would, with the same IEEE operations, so the slopes are bit-identical."""
+        x = np.frombuffer(self.orbit(count), dtype=float)
+        return 4.0 * (x - np.floor(x)) - 2.0
 
     def next_lambda(self) -> float:
         """Advance one step and fold the iterate into lambda in [-2, 2)."""

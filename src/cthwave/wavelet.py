@@ -170,7 +170,8 @@ class ButterflyMatrix:
 
     Block r maps columns 2r, 2r+1 to rows r and n/2 + r through
     [[a0, a1], [d1, -d0]], so |det| = |a0*d0 + a1*d1|.  Each block must
-    pass the determinant check on its own.
+    pass the determinant check on its own.  The vectors are read-only
+    copies, so a matrix can be shared between calls.
     """
 
     a0: np.ndarray
@@ -179,7 +180,7 @@ class ButterflyMatrix:
     d0: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = [np.asarray(getattr(self, k), dtype=float)
+        coeffs = [np.array(getattr(self, k), dtype=float)
                   for k in ("a0", "a1", "d1", "d0")]
         a0, a1, d1, d0 = coeffs
         if a0.ndim != 1 or a0.size < 1 or any(c.shape != a0.shape for c in coeffs):
@@ -195,6 +196,7 @@ class ButterflyMatrix:
                 f"{det.size} blocks (first: block {bad[0]})"
             )
         for k, c in zip(("a0", "a1", "d1", "d0"), coeffs):
+            c.flags.writeable = False
             object.__setattr__(self, k, c)
 
     @property

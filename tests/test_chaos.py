@@ -194,6 +194,17 @@ def _advance(params, advance):
     return [float.hex(x) for x in xs], err, float.hex(s.state)
 
 
+POLE_PARAMS = [
+    # theta1 = 2 atan(1) = pi/2: tan pole at the first step
+    ChaosParams(1.0, 2, 3, 2.0, 2.5, 0.4),
+    # theta2 = 4 atan(1) = pi: cot pole at the first step
+    ChaosParams(1.0, 3, 4, 2.0, 2.5, 0.4),
+]
+
+# x = 1e30 sits on a pole, and x + 1e-6 == x, so the retry fails too
+DEGENERATE_PARAMS = ChaosParams(1e30, 3, 4, 2.0, 2.5, 0.4)
+
+
 def _orbit_matches_step(params, count):
     ref = _advance(params, lambda s: [s.step() for _ in range(count)])
     assert _advance(params, lambda s: s.orbit(count)) == ref
@@ -213,15 +224,7 @@ class TestOrbit:
         head = [a.step() for _ in range(3)] + list(a.orbit(50)) + [a.step()]
         assert head == [b.step() for _ in range(54)]
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            # theta1 = 2 atan(1) = pi/2: tan pole at the first step
-            ChaosParams(1.0, 2, 3, 2.0, 2.5, 0.4),
-            # theta2 = 4 atan(1) = pi: cot pole at the first step
-            ChaosParams(1.0, 3, 4, 2.0, 2.5, 0.4),
-        ],
-    )
+    @pytest.mark.parametrize("params", POLE_PARAMS)
     def test_matches_step_through_a_pole(self, params):
         with pytest.raises(PoleError):
             step_coupled(params.x0, params)
@@ -229,8 +232,7 @@ class TestOrbit:
         assert err is None and len(xs) == 200
 
     def test_degenerate_orbit_raises_like_step(self):
-        # x = 1e30 sits on a pole, and x + 1e-6 == x, so the retry fails too
-        p = ChaosParams(1e30, 3, 4, 2.0, 2.5, 0.4)
+        p = DEGENERATE_PARAMS
         _, err, state = _orbit_matches_step(p, 10)
         assert err is StreamDegeneracyError and state == float.hex(1e30)
         with pytest.raises(StreamDegeneracyError):
@@ -270,3 +272,35 @@ class TestOrbit:
         p = ChaosParams(0.2, 3, 4, 2.0, 1e-200, 0.4)
         _, err, _ = _orbit_matches_step(p, 3)
         assert err is ZeroDivisionError
+
+
+def _lambdas_match_next_lambda(params, count):
+    ref = _advance(params, lambda s: [s.next_lambda() for _ in range(count)])
+    assert _advance(params, lambda s: s.lambdas(count)) == ref
+    return ref
+
+
+class TestLambdas:
+    def test_matches_next_lambda_on_random_keys(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            lams, err, _ = _lambdas_match_next_lambda(random_chaos_params(rng), 3000)
+            assert err is None and len(lams) == 3000
+
+    @pytest.mark.parametrize("params", POLE_PARAMS)
+    def test_matches_next_lambda_through_a_pole(self, params):
+        lams, err, _ = _lambdas_match_next_lambda(params, 200)
+        assert err is None and len(lams) == 200
+
+    def test_degenerate_stream_raises_like_next_lambda(self):
+        _, err, state = _lambdas_match_next_lambda(DEGENERATE_PARAMS, 10)
+        assert err is StreamDegeneracyError and state == float.hex(1e30)
+
+    def test_interleaves_with_step_and_next_lambda(self):
+        a = LambdaStream(REFERENCE_PARAMS, burn_in=5)
+        b = LambdaStream(REFERENCE_PARAMS, burn_in=5)
+        got = [a.step(), *a.lambdas(50), a.next_lambda(), a.step(), *a.lambdas(7)]
+        want = ([b.step()] + [b.next_lambda() for _ in range(51)] + [b.step()]
+                + [b.next_lambda() for _ in range(7)])
+        assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
+        assert float.hex(a.state) == float.hex(b.state)

@@ -151,6 +151,28 @@ class TestQuantize:
         reference = np.mod(np.sign(f) * np.floor(np.abs(f) + 0.5), 256.0).astype(np.uint8)
         assert quantize(f).tobytes() == reference.tobytes()
 
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 64),
+            elements=st.one_of(
+                # +-k 2^e over every exponent that keeps the value finite
+                st.tuples(st.sampled_from([1.0, -1.0]), st.integers(1, 255),
+                          st.integers(0, 1023))
+                .map(lambda t: t[0] * t[1] * 2.0 ** t[2])
+                .filter(np.isfinite),
+                st.integers(1 - 2**52, 2**52 - 1).map(lambda k: k + 0.5),
+                st.floats(-2.0**-1022, 2.0**-1022),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**53, -2.0**53,
+                                 2.0**63, -2.0**63, 1.7e308, -1.7e308]),
+            ),
+        )
+    )
+    @settings(deadline=None)
+    def test_matches_reference_formula_over_all_exponents(self, f):
+        reference = np.mod(np.sign(f) * np.floor(np.abs(f) + 0.5), 256.0).astype(np.uint8)
+        assert quantize(f).tobytes() == reference.tobytes()
+
     def test_leaves_input_untouched(self):
         f = np.array([-1.5, 0.25, 300.7])
         quantize(f)
@@ -443,6 +465,54 @@ class TestMaskCache:
         assert len(calls) == 6
         assert not np.array_equal(e_literal, e_keystream)
         assert cold_mask_cache.cache_info().currsize == 1
+
+
+@pytest.fixture
+def cold_stage_cache():
+    cipher._stage_matrices.cache_clear()
+    yield cipher._stage_matrices
+    cipher._stage_matrices.cache_clear()
+
+
+class TestStageMatrixCache:
+    def test_same_size_as_the_mask_cache(self):
+        assert cipher._stage_matrices.cache_info().maxsize == MASK_CACHE_SIZE
+
+    def test_literal_mode_builds_each_matrix_once(self, default_literal_key, monkeypatch):
+        calls = count_calls(monkeypatch, "build_level_matrix")
+        ks = replace(default_literal_key, burn_in=3)  # a key no other test caches
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            m = rng.integers(0, 256, (16, 16)).astype(np.uint8)
+            assert verify_literal_roundtrip(encrypt(m, ks), m, ks)
+        assert [c[0] for c in calls] == [16, 8, 8, 16]
+
+    @staticmethod
+    def differing_stages(cache, ks, other):
+        """Stages whose matrices differ between two keys, after checking the
+        keys missed separately and share no matrix object."""
+        a, b = cache(ks, 16), cache(other, 16)
+        assert cache.cache_info().misses == 2
+        assert all(ha is not hb for ha, hb in zip(a, b))
+        return [k for k in range(4) if not np.array_equal(a[k].entries, b[k].entries)]
+
+    @pytest.mark.parametrize(
+        "change", [{"normalized": True}, {"burn_in": 65}, {"burn_in": 0}]
+    )
+    def test_keys_differing_in_settings_never_share(
+        self, cold_stage_cache, default_literal_key, change
+    ):
+        other = replace(default_literal_key, **change)
+        assert self.differing_stages(cold_stage_cache, default_literal_key, other) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_keys_differing_in_one_stage_never_share(
+        self, cold_stage_cache, default_literal_key, k
+    ):
+        stages = list(default_literal_key.stages)
+        stages[k] = replace(stages[k], eps=0.41)
+        other = replace(default_literal_key, stages=tuple(stages))
+        assert self.differing_stages(cold_stage_cache, default_literal_key, other) == [k]
 
 
 def reference_swap_perm(side):

@@ -218,6 +218,22 @@ class TestButterflyStage:
         with pytest.raises(SingularMatrixError, match="block 2"):
             ButterflyMatrix(np.ones(4), np.ones(4), np.ones(4), d0)
 
+    def test_coefficients_are_read_only(self):
+        h = build_level_matrix(8, LambdaStream(REFERENCE_PARAMS, burn_in=16))
+        for name in ("a0", "a1", "d1", "d0"):
+            c = getattr(h, name)
+            assert not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[0] = 1.0
+
+    def test_callers_arrays_stay_writable(self):
+        coeffs = [np.full(4, v) for v in (1.0, 2.0, 3.0, 4.0)]
+        h = ButterflyMatrix(*coeffs)
+        for c in coeffs:
+            assert c.flags.writeable
+            c[0] = 9.0
+        assert h.a0.tolist() == [1.0] * 4 and h.d0.tolist() == [4.0] * 4
+
     def test_out_of_range_slope_rejected(self):
         with pytest.raises(ValueError):
             build_level_matrix(4, iter([0.0] * 5 + [2.5] + [0.0] * 2))
