@@ -14,6 +14,7 @@ import numpy as np
 
 from cthwave.chaos import ChaosParams
 from cthwave.cipher import KeySchedule, encrypt
+from cthwave.cli import ANALYZE_PAIRS, KEYSPACE_INSTANCES
 from cthwave.imageio import read_pgm, synthetic_test_image
 from cthwave.metrics import (
     correlation_adjacent,
@@ -54,9 +55,9 @@ def main():
                         help="side of the synthetic test image")
     parser.add_argument("--seed", type=int, default=7,
                         help="seed for correlation pair sampling")
-    parser.add_argument("--pairs", type=int, default=1_000_000,
+    parser.add_argument("--pairs", type=int, default=ANALYZE_PAIRS,
                         help="sampled pixel pairs per correlation estimate "
-                             "(default 1000000, as in the criterion-7 audit; "
+                             f"(default {ANALYZE_PAIRS}, as in the criterion-7 audit; "
                              "20000 pairs leave about 0.007 of sampling noise "
                              "against the 0.02 bound)")
     args = parser.parse_args()
@@ -82,7 +83,7 @@ def main():
 
     print("\nkey space:")
     for precision in (1e-2, 1e-3, 1e-4):
-        bits = key_space_bits(precision, 24)
+        bits = key_space_bits(precision, KEYSPACE_INSTANCES)
         print(f"  precision {precision:g}: {bits:.2f} bits")
 
 

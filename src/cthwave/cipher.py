@@ -78,10 +78,12 @@ class KeySchedule:
             raise ValueError(
                 f"stages must be a tuple of 4 ChaosParams, got {self.stages!r}"
             )
-        if not isinstance(self.burn_in, int):
+        if not isinstance(self.burn_in, int) or isinstance(self.burn_in, bool):
             raise ValueError(f"burn_in must be an integer, got {self.burn_in!r}")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+        if not isinstance(self.normalized, bool):
+            raise ValueError(f"normalization must be a bool, got {self.normalized!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -213,10 +215,11 @@ def chaotic_image(m: np.ndarray, ks: KeySchedule) -> np.ndarray:
     gather, then two inverse levels with their own matrices (stages 3-4).
     Quadrants too small for the spiral (side < 4) pass through unswapped.
     The four stage matrices depend on the key and side only and are cached
-    per (key, side).  This equals wavelet.decompose, the gather, then
-    wavelet.reconstruct; the transforms stay inline until the library times
-    its own layers (ROADMAP item 1), because the benchmark wraps them here
-    by name.
+    per (key, side).  With h1, h2, h3, h4 = _stage_matrices(ks, n) this
+    equals wavelet.decompose(m, (h1, h2)), the gather, then
+    wavelet.reconstruct(f, (h4, h3)); the transforms stay inline until the
+    library times its own layers (ROADMAP item 1), because the benchmark
+    wraps them here by name.
     """
     m = np.asarray(m, dtype=float)
     _check_side(m.shape, "image")

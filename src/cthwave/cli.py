@@ -77,8 +77,17 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     ks = load_key_file(args.key)
     if not 1 <= args.levels <= 4:
         raise ValueError(f"levels must be 1..4, got {args.levels}")
-    streams = [LambdaStream(ks.stages[k], ks.burn_in) for k in range(args.levels)]
-    f = wavelet.decompose(img.pixels, streams, ks.normalized)
+    n, side = img.pixels.shape
+    if n != side or n % 2**args.levels:
+        raise ValueError(f"image shape {img.pixels.shape} not divisible into "
+                         f"{args.levels} levels")
+    sides = [n >> k for k in range(args.levels)]
+    matrices = [
+        wavelet.build_level_matrix(s, LambdaStream(p, ks.burn_in).lambdas(2 * s),
+                                   ks.normalized)
+        for p, s in zip(ks.stages, sides)
+    ]
+    f = wavelet.decompose(img.pixels, matrices)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for level in range(1, args.levels + 1):

@@ -314,51 +314,34 @@ def merge_subbands(sb: SubBands) -> np.ndarray:
     return np.block([[sb.ll, sb.hl], [sb.lh, sb.hh]])
 
 
-def _pyramid(x: np.ndarray, levels: int) -> np.ndarray:
-    """A float copy of x, refused unless square with a side 2^levels divides."""
+def _pyramid(x: np.ndarray, matrices: Sequence[ButterflyMatrix]) -> np.ndarray:
+    """A float copy of x, refused unless square with matrix sides n, n/2,
+    n/4, ...; a butterfly's side is even, so 2^levels divides n."""
     x = np.array(x, dtype=float)
     n = x.shape[0] if x.ndim == 2 and x.shape[0] == x.shape[1] else 0
-    if levels < 1 or n == 0 or n % 2**levels:
-        raise ValueError(f"image shape {x.shape} not divisible into {levels} levels")
+    sides = [h.n for h in matrices]
+    if not sides or sides != [n >> k for k in range(len(sides))]:
+        raise ValueError(f"image shape {x.shape} does not fit matrix sides {sides}; "
+                         f"they must run n, n/2, n/4, ...")
     return x
 
 
-def decompose(
-    image: np.ndarray,
-    streams: Sequence[Iterator[float]],
-    normalized: bool = False,
-) -> np.ndarray:
-    """Multilevel decomposition in the pyramid layout, one level per stream.
+def decompose(image: np.ndarray, matrices: Sequence[ButterflyMatrix]) -> np.ndarray:
+    """Multilevel decomposition in the pyramid layout, one matrix per level.
 
-    Level k transforms the top-left n/2^(k-1) square in place with a fresh
-    matrix built from streams[k-1].  Level k's LH / HL / HH sit in the
-    quadrants of that square; the deepest approximation is the top-left
-    n/2^levels square.
+    Level k transforms the top-left n/2^(k-1) square in place with
+    matrices[k-1].  Level k's LH / HL / HH sit in the quadrants of that
+    square; the deepest approximation is the top-left n/2^levels square.
     """
-    f = _pyramid(image, len(streams))
-    for k, stream in enumerate(streams):
-        s = f.shape[0] >> k
-        f[:s, :s] = forward_2d(f[:s, :s], build_level_matrix(s, stream, normalized))
+    f = _pyramid(image, matrices)
+    for h in matrices:
+        f[:h.n, :h.n] = forward_2d(f[:h.n, :h.n], h)
     return f
 
 
-def reconstruct(
-    f: np.ndarray,
-    streams: Sequence[Iterator[float]],
-    normalized: bool = False,
-) -> np.ndarray:
-    """Invert decompose, deepest level first.
-
-    Streams must replay the slope material used for decomposition (same
-    parameters and burn-in per level).  Every matrix is built, shallowest
-    first as decompose drew them, before any is applied, so one stream may
-    serve several levels.
-    """
-    m = _pyramid(f, len(streams))
-    matrices = [
-        build_level_matrix(m.shape[0] >> k, stream, normalized)
-        for k, stream in enumerate(streams)
-    ]
+def reconstruct(f: np.ndarray, matrices: Sequence[ButterflyMatrix]) -> np.ndarray:
+    """Invert decompose with the same matrices, deepest level first."""
+    m = _pyramid(f, matrices)
     for h in reversed(matrices):
         m[:h.n, :h.n] = inverse_2d(m[:h.n, :h.n], h)
     return m

@@ -3,8 +3,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cthwave.chaos import ChaosParams
+from cthwave.chaos import ChaosParams, LambdaStream
 from cthwave.cipher import KeySchedule
+from cthwave.wavelet import build_level_matrix
 
 # Twelve published slope values of the 4x4 worked example, in slot order
 # (H1 averaging rows, H1 differencing rows, H2 averaging row, H2
@@ -38,6 +39,16 @@ def random_chaos_params(rng: np.random.Generator) -> ChaosParams:
         a2=float(rng.uniform(0.5, 3.0)),
         eps=float(rng.uniform(0.05, 0.95)),
     )
+
+
+def stream_matrices(params, n: int, burn_in: int):
+    """One raw stage matrix per level for decompose/reconstruct: level k at
+    side n >> k, from a fresh stream on params[k]."""
+    sides = [n >> k for k in range(len(params))]
+    return [
+        build_level_matrix(s, LambdaStream(p, burn_in).lambdas(2 * s))
+        for p, s in zip(params, sides)
+    ]
 
 
 def random_key_schedule(rng: np.random.Generator, **kwargs) -> KeySchedule:

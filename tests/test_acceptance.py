@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cthwave.chaos import LambdaStream
 from cthwave.cipher import KeySchedule, decrypt, encrypt, spiral_swap
 from cthwave.cli import main
 from cthwave.imageio import synthetic_test_image
@@ -38,6 +37,7 @@ from conftest import (
     REFERENCE_MATRIX,
     random_chaos_params,
     random_key_schedule,
+    stream_matrices,
 )
 
 
@@ -91,8 +91,8 @@ def test_criterion_4_perfect_reconstruction():
     for _ in range(100):
         p1, p2 = random_chaos_params(rng), random_chaos_params(rng)
         img = rng.uniform(0.0, 255.0, (128, 128))
-        f = decompose(img, [LambdaStream(p1, 64), LambdaStream(p2, 64)])
-        rec = reconstruct(f, [LambdaStream(p1, 64), LambdaStream(p2, 64)])
+        matrices = stream_matrices([p1, p2], 128, 64)
+        rec = reconstruct(decompose(img, matrices), matrices)
         worst = max(worst, float(np.abs(rec - img).max()))
     report(4, worst < 1e-6,
            f"worst reconstruction error {worst:.2e} over 100 keys, "

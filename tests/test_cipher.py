@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cthwave import cipher
-from cthwave.chaos import ChaosParams, LambdaStream
+from cthwave.chaos import ChaosParams
 from cthwave.cipher import (
     MASK_CACHE_SIZE,
     MIN_SWAP_SIDE,
@@ -231,10 +231,10 @@ class TestChaoticImage:
         for _ in range(3):
             ks = random_key_schedule(rng, normalized=normalized)
             m = rng.integers(0, 256, (n, n)).astype(np.uint8)
-            s1, s2, s3, s4 = (LambdaStream(p, ks.burn_in) for p in ks.stages)
-            f = decompose(m, (s1, s2), normalized)
+            h1, h2, h3, h4 = cipher._stage_matrices(ks, n)
+            f = decompose(m, (h1, h2))
             f = f.reshape(-1)[cipher._mask_perm(n)].reshape(n, n)
-            expected = reconstruct(f, (s4, s3), normalized)
+            expected = reconstruct(f, (h4, h3))
             assert chaotic_image(m, ks).tobytes() == expected.tobytes()
 
     def test_brightness_redistributed(self, default_literal_key):
@@ -595,3 +595,14 @@ class TestKeySchedule:
     def test_rejects_malformed_schedule(self, stages, burn_in, match):
         with pytest.raises(ValueError, match=match):
             KeySchedule(stages=stages, burn_in=burn_in)
+
+    # "raw" used to encrypt as normalized=True, and True as a burn-in of 1.
+    @pytest.mark.parametrize("setting, match", [
+        ({"normalized": "raw"}, "^normalization "),
+        ({"normalized": 1}, "^normalization "),
+        ({"burn_in": True}, "^burn_in "),
+    ], ids=["string-normalized", "int-normalized", "bool-burn-in"])
+    def test_refuses_settings_it_used_to_coerce(self, setting, match):
+        p = ChaosParams(0.2, 3, 4, 2.0, 2.5, 0.4)
+        with pytest.raises(ValueError, match=match):
+            KeySchedule(stages=(p, p, p, p), **setting)

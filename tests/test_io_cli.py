@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cthwave.cipher import KeySchedule
+from cthwave.cipher import KeySchedule, _stage_matrices
 from cthwave.cli import ANALYZE_PAIRS, _build_parser, main
 from cthwave.imageio import (
     GrayImage,
@@ -17,6 +17,7 @@ from cthwave.keyfile import (
     load_key_file,
     parse_key_file,
 )
+from cthwave.wavelet import decompose
 
 GOOD_KEY = """\
 burn_in = 16
@@ -257,6 +258,30 @@ class TestCli:
         ]
         ll = read_pgm(out_dir / "L2_LL.pgm")
         assert (ll.width, ll.height) == (16, 16)
+
+    @pytest.mark.parametrize("normalization", ["raw", "normalized"])
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_transform_writes_the_rescaled_quadrants(self, tmp_path, image_path,
+                                                     levels, normalization, capsys):
+        key = tmp_path / "k.key"
+        key.write_text(GOOD_KEY.replace("normalization = raw",
+                                        f"normalization = {normalization}"))
+        out_dir = tmp_path / "bands"
+        assert main(["transform", "--in", str(image_path), "--key", str(key),
+                     "--levels", str(levels), "--out-dir", str(out_dir)]) == 0
+        img = read_pgm(image_path).pixels
+        n = img.shape[0]
+        # Stage 1 at side n, then stage 2 at side n/2.
+        f = decompose(img, _stage_matrices(load_key_file(key), n)[:levels])
+        for level in range(1, levels + 1):
+            h = n >> level
+            bands = {"LH": f[h:2 * h, :h], "HL": f[:h, h:2 * h],
+                     "HH": f[h:2 * h, h:2 * h]}
+            if level == levels:
+                bands["LL"] = f[:h, :h]
+            for band, values in bands.items():
+                written = read_pgm(out_dir / f"L{level}_{band}.pgm").pixels
+                assert written.tobytes() == rescale_to_bytes(values).tobytes()
 
     def test_transform_refuses_more_levels_than_the_side_allows(
             self, tmp_path, key_path, capsys):

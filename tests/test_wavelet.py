@@ -30,6 +30,7 @@ from conftest import (
     REFERENCE_MATRIX,
     REFERENCE_PARAMS,
     random_chaos_params,
+    stream_matrices,
 )
 
 
@@ -343,48 +344,51 @@ class TestMultilevel:
     def test_classic_level_one_ll_is_block_average(self):
         rng = np.random.default_rng(6)
         img = rng.uniform(0, 255, (16, 16))
-        f = decompose(img, [iter([0.0] * 64)], normalized=True)
+        f = decompose(img, [zero_slope_butterfly(16)])
         blocks = img.reshape(8, 2, 8, 2).mean(axis=(1, 3))
         assert np.allclose(f[:8, :8], 2.0 * blocks, atol=1e-10)
 
     def test_two_level_dimensions(self):
         img = np.zeros((256, 256))
-        streams = [iter([0.0] * 2048) for _ in range(2)]
-        f = decompose(img, streams, normalized=True)
+        matrices = [zero_slope_butterfly(256), zero_slope_butterfly(128)]
+        f = decompose(img, matrices)
         assert isinstance(f, np.ndarray) and f.shape == (256, 256)
-        assert f[: 256 >> len(streams), : 256 >> len(streams)].shape == (64, 64)
+        assert f[: 256 >> len(matrices), : 256 >> len(matrices)].shape == (64, 64)
 
     def test_divisibility_error(self):
         with pytest.raises(ValueError):
-            decompose(np.zeros((12, 12)), [iter([0.0] * 100)] * 3)
+            decompose(np.zeros((12, 12)), [zero_slope_butterfly(s) for s in (12, 6, 2)])
+
+    @pytest.mark.parametrize("shape, sides", [
+        ((16, 16), ()),
+        ((16, 16), (8, 16)),
+        ((16, 16), (16, 16)),
+        ((16, 8), (16,)),
+        ((12, 12), (12, 6, 4)),
+    ], ids=["empty", "wrong-order", "repeated-side", "non-square", "too-many-levels"])
+    @pytest.mark.parametrize("transform", [decompose, reconstruct])
+    def test_refuses_matrices_that_do_not_fit(self, transform, shape, sides):
+        with pytest.raises(ValueError, match="matrix sides"):
+            transform(np.zeros(shape), [zero_slope_butterfly(s) for s in sides])
 
     def test_zero_tree_reconstructs_zero(self):
         img = np.zeros((32, 32))
-        params = REFERENCE_PARAMS
-        f = decompose(img, [LambdaStream(params, 8) for _ in range(2)])
-        rec = reconstruct(f, [LambdaStream(params, 8) for _ in range(2)])
+        matrices = stream_matrices([REFERENCE_PARAMS] * 2, 32, 8)
+        f = decompose(img, matrices)
+        rec = reconstruct(f, matrices)
         assert np.allclose(rec, 0.0)
 
     def test_classic_one_level_roundtrip_exact(self):
         rng = np.random.default_rng(7)
         img = rng.uniform(0, 255, (32, 32))
-        f = decompose(img, [iter([0.0] * 128)], normalized=True)
-        rec = reconstruct(f, [iter([0.0] * 128)], normalized=True)
+        f = decompose(img, [zero_slope_butterfly(32)])
+        rec = reconstruct(f, [zero_slope_butterfly(32)])
         assert np.abs(rec - img).max() < 1e-10
 
     def test_two_level_chaotic_roundtrip(self):
         rng = np.random.default_rng(8)
         img = rng.uniform(0, 255, (128, 128))
         params = [random_chaos_params(rng) for _ in range(2)]
-        f = decompose(img, [LambdaStream(p, 64) for p in params])
-        rec = reconstruct(f, [LambdaStream(p, 64) for p in params])
+        matrices = stream_matrices(params, 128, 64)
+        rec = reconstruct(decompose(img, matrices), matrices)
         assert np.abs(rec - img).max() < 1e-6
-
-    def test_shared_stream_roundtrip(self):
-        # both levels draw from one stream, so reconstruct must rebuild the
-        # matrices in decompose's order (level 1 first) before applying them
-        img = np.random.default_rng(9).uniform(0, 255, (64, 64))
-        s = LambdaStream(REFERENCE_PARAMS, 64)
-        f = decompose(img, [s, s])
-        s = LambdaStream(REFERENCE_PARAMS, 64)
-        assert np.abs(reconstruct(f, [s, s]) - img).max() < 1e-9
