@@ -41,7 +41,8 @@ _HALF_PI = math.pi / 2.0
 
 
 class PoleError(ArithmeticError):
-    """The map argument landed within POLE_TOL of a tan/cot pole."""
+    """The map argument landed within POLE_TOL of a tan/cot pole, or the map
+    value overflowed (a zero denominator included)."""
 
 
 class StreamDegeneracyError(RuntimeError):
@@ -66,8 +67,10 @@ class ChaosParams:
             if not isinstance(n, int) or n < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {n}")
         for name, a in (("a1", self.a1), ("a2", self.a2)):
-            if not (math.isfinite(a) and a > 0):
-                raise ValueError(f"{name} must be finite and positive, got {a}")
+            # a * a divides in f1 and f2, so it must not underflow to 0.
+            if not (math.isfinite(a) and a > 0 and a * a > 0):
+                raise ValueError(f"{name} must be finite and positive with a "
+                                 f"nonzero square, got {a}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
 
@@ -82,7 +85,8 @@ def f1(x: float, a: float, n: int) -> float:
     if abs(r - _HALF_PI) < POLE_TOL:
         raise PoleError(f"tan pole near theta={theta}")
     t = math.tan(theta)
-    out = (t * t) / (a * a)
+    d = a * a
+    out = (t * t) / d if d else math.inf
     if not math.isfinite(out):
         raise PoleError(f"f1 overflow at theta={theta}")
     return out
@@ -98,7 +102,8 @@ def f2(x: float, a: float, n: int) -> float:
     if min(r, math.pi - r) < POLE_TOL:
         raise PoleError(f"cot pole near theta={theta}")
     t = math.tan(theta)
-    out = 1.0 / (t * t * a * a)
+    d = t * t * a * a
+    out = 1.0 / d if d else math.inf
     if not math.isfinite(out):
         raise PoleError(f"f2 overflow at theta={theta}")
     return out

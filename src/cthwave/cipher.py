@@ -50,7 +50,8 @@ KEYSTREAM_BURN_OFFSET = 1000
 
 MODES = ("literal", "keystream")
 
-# Keystream masks and stage matrices kept per (key, side), each read-only.
+# Keystream masks and stage matrices kept per (key, side), and swap gathers
+# per side, each read-only.
 # Keep it below 32: the bench self-test replays 32 keys and needs each to miss.
 MASK_CACHE_SIZE = 8
 
@@ -154,7 +155,7 @@ def _swap_index(n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     return ll_r * stride + ll_c, partner
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MASK_CACHE_SIZE)
 def _mask_perm(n: int) -> np.ndarray:
     """Read-only flat gather index of both spiral swaps of an n x n two-level
     decomposition: the level-2 swap inside the top-left n/2 x n/2 quadrant,
@@ -196,15 +197,20 @@ def spiral_swap(sb: SubBands) -> tuple[SubBands, SwapRecord]:
     return split_subbands(merged), SwapRecord(record)
 
 
+def _stage_matrix(p: ChaosParams, side: int, ks: KeySchedule) -> ButterflyMatrix:
+    """The stage matrix of parameters p at a side under key ks's settings,
+    from the first 2 * side slopes of a fresh stream on p."""
+    return build_level_matrix(
+        side, LambdaStream(p, ks.burn_in).lambdas(2 * side), ks.normalized
+    )
+
+
 @lru_cache(maxsize=MASK_CACHE_SIZE)
 def _stage_matrices(ks: KeySchedule, n: int) -> tuple[ButterflyMatrix, ...]:
     """The four read-only stage matrices of key ks at side n (sides n, n/2,
-    n/2, n), each from a fresh stream on its stage's parameters."""
+    n/2, n), one per stage."""
     sides = (n, n // 2, n // 2, n)
-    return tuple(
-        build_level_matrix(s, LambdaStream(p, ks.burn_in).lambdas(2 * s), ks.normalized)
-        for p, s in zip(ks.stages, sides)
-    )
+    return tuple(_stage_matrix(p, s, ks) for p, s in zip(ks.stages, sides))
 
 
 def chaotic_image(m: np.ndarray, ks: KeySchedule) -> np.ndarray:

@@ -10,10 +10,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from cthwave import cipher, metrics, wavelet
-from cthwave.chaos import LambdaStream, StreamDegeneracyError
+from cthwave.chaos import StreamDegeneracyError
 from cthwave.imageio import GrayImage, PgmError, read_pgm, rescale_to_bytes, write_pgm
 from cthwave.keyfile import KeyFileError, load_key_file
-from cthwave.wavelet import SingularMatrixError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,11 +81,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         raise ValueError(f"image shape {img.pixels.shape} not divisible into "
                          f"{args.levels} levels")
     sides = [n >> k for k in range(args.levels)]
-    matrices = [
-        wavelet.build_level_matrix(s, LambdaStream(p, ks.burn_in).lambdas(2 * s),
-                                   ks.normalized)
-        for p, s in zip(ks.stages, sides)
-    ]
+    matrices = [cipher._stage_matrix(p, s, ks) for p, s in zip(ks.stages, sides)]
     f = wavelet.decompose(img.pixels, matrices)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,7 +163,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageExit as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (StreamDegeneracyError, SingularMatrixError) as exc:
+    except StreamDegeneracyError as exc:
         print(f"numeric degeneracy: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (PgmError, KeyFileError, cipher.CipherModeError, ValueError, OSError) as exc:

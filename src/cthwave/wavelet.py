@@ -8,12 +8,12 @@ lambda in [-2, 2], which makes the scaling coefficients
 
 key-dependent.  A single-level transform matrix is a permuted block
 diagonal of 2x2 butterflies, each pairing two input samples with four such
-coefficients drawn from a lambda stream; it is stored as those n/2 blocks
-and applied in O(n^2) per 2-D transform with no BLAS.  Every block's
+coefficients built from its slopes; it is stored as those n/2 blocks and
+applied in O(n^2) per 2-D transform with no BLAS.  Every block's
 coefficients are positive, so its |det| is at least (8/9) s^2 (s^2 = 1
-raw, 1/2 normalized) and each block is checked on its own.  Multilevel
-behaviour comes from recursive application to the LL quadrant, in place on
-one n x n array (the pyramid layout of Mallat, 1989).  The
+raw, 1/2 normalized) and the matrix is invertible by construction.
+Multilevel behaviour comes from recursive application to the LL quadrant,
+in place on one n x n array (the pyramid layout of Mallat, 1989).  The
 classic multi-level Haar matrix, the lambda = 0 reference, is returned as a
 plain array.
 """
@@ -21,7 +21,7 @@ plain array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "SlopedCoeffs",
     "ButterflyMatrix",
     "SubBands",
-    "SingularMatrixError",
     "sloped_coeffs",
     "phi",
     "psi",
@@ -45,14 +44,7 @@ __all__ = [
     "reconstruct",
 ]
 
-# Determinant magnitude below which a butterfly block is rejected.
-DET_GATE = 1e-9
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-class SingularMatrixError(RuntimeError):
-    """A butterfly block failed the determinant check."""
 
 
 @dataclass(frozen=True)
@@ -166,36 +158,42 @@ def _classic_entries(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ButterflyMatrix:
-    """Single-stage transform matrix held as its n/2 2x2 blocks.
+    """Single-stage n x n sloped-Haar matrix built from its 2n slopes, held
+    as its n/2 2x2 blocks.
 
     Block r maps columns 2r, 2r+1 to rows r and n/2 + r through
-    [[a0, a1], [d1, -d0]], so |det| = |a0*d0 + a1*d1|.  Each block must
-    pass the determinant check on its own.  The vectors are read-only
-    copies, so a matrix can be shared between calls.
+    [[a0, a1], [d1, -d0]]: row r averages with weights p~0, p~1 of slopes
+    lam[2r], lam[2r+1], and row n/2 + r differences with weights p~1, -p~0
+    of slopes lam[n+2r], lam[n+2r+1].  p~ = p / sqrt(2) when normalized,
+    p~ = p when raw.  p0, p1 lie in [2/3, 5/3] on [-2, 2], so every block
+    has |det| = a0*d0 + a1*d1 >= (8/9) s^2 and the matrix is invertible by
+    construction.  lam and the coefficient vectors are read-only copies, so
+    a matrix can be shared between calls.
     """
 
-    a0: np.ndarray
-    a1: np.ndarray
-    d1: np.ndarray
-    d0: np.ndarray
+    lam: np.ndarray
+    normalized: bool = False
+    a0: np.ndarray = field(init=False, repr=False)
+    a1: np.ndarray = field(init=False, repr=False)
+    d1: np.ndarray = field(init=False, repr=False)
+    d0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        coeffs = [np.array(getattr(self, k), dtype=float)
-                  for k in ("a0", "a1", "d1", "d0")]
-        a0, a1, d1, d0 = coeffs
-        if a0.ndim != 1 or a0.size < 1 or any(c.shape != a0.shape for c in coeffs):
-            raise ValueError(
-                f"need four 1-D coefficient vectors of one length >= 1, got "
-                f"shapes {[c.shape for c in coeffs]}"
-            )
-        det = np.abs(a0 * d0 + a1 * d1)
-        bad = np.flatnonzero(~(np.isfinite(det) & (det > DET_GATE)))
-        if bad.size:
-            raise SingularMatrixError(
-                f"|det| <= {DET_GATE} or non-finite in {bad.size} of "
-                f"{det.size} blocks (first: block {bad[0]})"
-            )
-        for k, c in zip(("a0", "a1", "d1", "d0"), coeffs):
+        lam = np.array(self.lam, dtype=float)
+        n = lam.size // 2
+        if lam.ndim != 1 or lam.size != 2 * n or n < 2 or n % 2:
+            raise ValueError(f"need a 1-D array of 2n slopes with n even and >= 2, "
+                             f"got shape {lam.shape}")
+        outside = ~(np.abs(lam) <= 2.0)
+        if outside.any():
+            raise ValueError(f"lambda must lie in [-2, 2], got {lam[outside][0]}")
+        scale = _INV_SQRT2 if self.normalized else 1.0
+        p0, p1 = _scaling_pair(lam)
+        p0, p1 = scale * p0, scale * p1
+        coeffs = dict(lam=lam, a0=p0[0:n:2], a1=p1[1:n:2],
+                      d1=p1[n::2], d0=p0[n + 1::2])
+        for k, c in coeffs.items():
+            c = np.ascontiguousarray(c)  # the transforms read these fastest
             c.flags.writeable = False
             object.__setattr__(self, k, c)
 
@@ -219,28 +217,16 @@ class ButterflyMatrix:
 def build_level_matrix(
     n: int, lambdas: Iterator[float], normalized: bool = False
 ) -> ButterflyMatrix:
-    """Single-stage n x n sloped-Haar butterfly from a slope source.
+    """Single-stage n x n sloped-Haar butterfly from the next 2n slopes of a
+    source.
 
-    Row r in [0, n/2) averages columns 2r, 2r+1 with weights p~0, p~1; row
-    n/2 + r differences them with weights p~1, -p~0.  Slopes are consumed in
-    a fixed order that is part of the key contract: averaging rows top to
-    bottom (p~0 slot first), then differencing rows top to bottom (p~1 slot
-    first).  p~ = p / sqrt(2) when normalized, p~ = p when raw.  Exactly 2n
-    slopes are drawn; every block passes the determinant check by
-    construction, since p0, p1 lie in [2/3, 5/3] on [-2, 2].
+    Slopes are consumed in a fixed order that is part of the key contract:
+    averaging rows top to bottom (p~0 slot first), then differencing rows
+    top to bottom (p~1 slot first); see ButterflyMatrix.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    lam = np.fromiter(lambdas, dtype=float, count=2 * n)
-    outside = ~(np.abs(lam) <= 2.0)
-    if outside.any():
-        raise ValueError(f"lambda must lie in [-2, 2], got {lam[outside][0]}")
-    scale = _INV_SQRT2 if normalized else 1.0
-    p0, p1 = _scaling_pair(lam)
-    p0, p1 = scale * p0, scale * p1
-    return ButterflyMatrix(
-        a0=p0[0:n:2], a1=p1[1:n:2], d1=p1[n::2], d0=p0[n + 1::2]
-    )
+    return ButterflyMatrix(np.fromiter(lambdas, float, 2 * n), normalized)
 
 
 def _analysis_rows(x: np.ndarray, h: ButterflyMatrix) -> np.ndarray:

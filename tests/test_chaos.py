@@ -47,6 +47,13 @@ class TestMaps:
         with pytest.raises(PoleError):
             f1(1.0, 1.0, 2)
 
+    def test_zero_denominator_is_a_pole(self):
+        # a * a and t * t * a * a underflow to 0
+        with pytest.raises(PoleError, match="overflow"):
+            f1(0.5, 1e-200, 3)
+        with pytest.raises(PoleError, match="overflow"):
+            f2(1.5, 2e-162, 4)
+
     def test_f1_rejects_negative(self):
         with pytest.raises(ValueError):
             f1(-0.1, 1.0, 2)
@@ -97,6 +104,7 @@ class TestParams:
             dict(eps=0.0),
             dict(eps=1.0),
             dict(eps=1.5),
+            dict(a1=1e-200),  # a1 * a1 underflows to 0
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -268,10 +276,11 @@ class TestOrbit:
                 b.orbit(3)
 
     def test_underflowing_denominator_raises_like_step(self):
-        # t*t*a2*a2 underflows to 0 and 1.0 / 0.0 raises in f2
-        p = ChaosParams(0.2, 3, 4, 2.0, 1e-200, 0.4)
+        # a2 * a2 = 5e-324, but t*t*a2*a2 underflows to 0 in f2 at x = 1.5
+        # and again after the perturbation
+        p = ChaosParams(1.5, 3, 4, 2.0, 2e-162, 0.4)
         _, err, _ = _orbit_matches_step(p, 3)
-        assert err is ZeroDivisionError
+        assert err is StreamDegeneracyError
 
 
 def _lambdas_match_next_lambda(params, count):

@@ -552,6 +552,12 @@ class TestMaskPerm:
             tracemalloc.stop()
         assert retained <= 2 * perm.nbytes
 
+    def test_cache_keeps_at_most_mask_cache_size_sides(self):
+        cipher._mask_perm.cache_clear()
+        for n in range(8, 8 * (MASK_CACHE_SIZE + 2), 8):
+            cipher._mask_perm(n)
+        assert cipher._mask_perm.cache_info().currsize == MASK_CACHE_SIZE
+
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 24, 64, 256, 512, 1024])
     def test_matches_the_sub_band_composition(self, n):
         perm = cipher._mask_perm(n)

@@ -328,6 +328,18 @@ class TestCli:
                    "--out", str(tmp_path / "o.pgm")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command, out", [
+        ("encrypt", "--out"), ("transform", "--out-dir"),
+    ])
+    def test_underflowing_map_scale_names_its_line(self, tmp_path, image_path,
+                                                   command, out, capsys):
+        key = tmp_path / "tiny.key"
+        key.write_text(GOOD_KEY.replace("a2 = 2.5", "a2 = 1e-200", 1))
+        rc = main([command, "--in", str(image_path), "--key", str(key),
+                   out, str(tmp_path / "out")])
+        assert rc == 2
+        assert "(line 10): a2 " in capsys.readouterr().err
+
     def test_crypt_takes_every_side_the_cipher_takes(self, tmp_path, key_path,
                                                      capsys):
         plain, enc, dec = (tmp_path / f"{name}.pgm" for name in ("p", "e", "d"))

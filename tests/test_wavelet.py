@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cthwave.chaos import LambdaStream
 from cthwave.wavelet import (
     ButterflyMatrix,
-    SingularMatrixError,
     SubBands,
     build_level_matrix,
     classic_haar_matrix,
@@ -206,19 +205,6 @@ class TestButterflyStage:
         m = np.random.default_rng(9).standard_normal((n, n))
         assert np.abs(inverse_2d(forward_2d(m, h), h) - m).max() < 1e-12
 
-    def test_zero_coefficients_rejected_per_block(self):
-        ones, zeros = np.ones(4), np.zeros(4)
-        with pytest.raises(SingularMatrixError):
-            ButterflyMatrix(zeros, zeros, zeros, zeros)
-        with pytest.raises(SingularMatrixError):
-            ButterflyMatrix(ones, ones, zeros, zeros)
-
-    def test_one_singular_block_rejected(self):
-        d0 = np.ones(4)
-        d0[2] = -1.0  # block 2 becomes [[1, 1], [1, 1]]
-        with pytest.raises(SingularMatrixError, match="block 2"):
-            ButterflyMatrix(np.ones(4), np.ones(4), np.ones(4), d0)
-
     def test_coefficients_are_read_only(self):
         h = build_level_matrix(8, LambdaStream(REFERENCE_PARAMS, burn_in=16))
         for name in ("a0", "a1", "d1", "d0"):
@@ -228,12 +214,40 @@ class TestButterflyStage:
                 c[0] = 1.0
 
     def test_callers_arrays_stay_writable(self):
-        coeffs = [np.full(4, v) for v in (1.0, 2.0, 3.0, 4.0)]
-        h = ButterflyMatrix(*coeffs)
-        for c in coeffs:
-            assert c.flags.writeable
-            c[0] = 9.0
-        assert h.a0.tolist() == [1.0] * 4 and h.d0.tolist() == [4.0] * 4
+        lam = np.linspace(-2.0, 2.0, 16)
+        h = ButterflyMatrix(lam)
+        assert lam.flags.writeable
+        lam[:] = 0.0
+        assert not h.lam.flags.writeable
+        assert h.lam.tolist() == np.linspace(-2.0, 2.0, 16).tolist()
+        assert h.a0[0] == sloped_coeffs(-2.0).p0 and h.d0[-1] == sloped_coeffs(2.0).p0
+
+    @pytest.mark.parametrize("lam", [
+        np.zeros(6),  # n = 3 is odd
+        np.zeros(2),  # n = 1
+        np.zeros((2, 4)),
+        np.array([0.0, math.nan, 0.0, 0.0]),
+        np.array([0.0, 0.0, 2.5, 0.0]),
+    ])
+    def test_refuses_bad_slopes(self, lam):
+        with pytest.raises(ValueError):
+            ButterflyMatrix(lam)
+
+    @given(
+        lam=st.integers(1, 8).flatmap(lambda half: st.lists(
+            st.sampled_from([-2.0, 0.0, 2.0]) | st.floats(-2.0, 2.0),
+            min_size=4 * half, max_size=4 * half,
+        )),
+        normalized=st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_every_block_is_invertible_by_construction(self, lam, normalized):
+        h = ButterflyMatrix(np.array(lam), normalized)
+        s2 = 0.5 if normalized else 1.0
+        det = h.a0 * h.d0 + h.a1 * h.d1
+        assert det.min() >= 8.0 / 9.0 * s2 * (1.0 - 1e-12)
+        m = np.random.default_rng(len(lam)).standard_normal((h.n, h.n))
+        assert np.abs(inverse_2d(forward_2d(m, h), h) - m).max() < 1e-12
 
     def test_out_of_range_slope_rejected(self):
         with pytest.raises(ValueError):
