@@ -38,6 +38,7 @@ POLE_TOL = 1e-9
 DEFAULT_BURN_IN = 64
 
 _HALF_PI = math.pi / 2.0
+_FLOAT_INT_LIMIT = 2**1024 - 2**970  # the least int that float() rounds to inf
 
 
 class PoleError(ArithmeticError):
@@ -66,6 +67,9 @@ class ChaosParams:
         for name, n in (("N1", self.n1), ("N2", self.n2)):
             if not isinstance(n, int) or n < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {n}")
+            if n >= _FLOAT_INT_LIMIT:
+                raise ValueError(f"{name} must convert to a finite float, got "
+                                 f"an integer of {n.bit_length()} bits")
         for name, a in (("a1", self.a1), ("a2", self.a2)):
             # a * a divides in f1 and f2, so it must not underflow to 0.
             if not (math.isfinite(a) and a > 0 and a * a > 0):
@@ -123,6 +127,8 @@ class LambdaStream:
     """
 
     def __init__(self, params: ChaosParams, burn_in: int = DEFAULT_BURN_IN):
+        if not isinstance(burn_in, int) or isinstance(burn_in, bool):
+            raise ValueError(f"burn_in must be an integer, got {burn_in!r}")
         if burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {burn_in}")
         self.params = params
@@ -161,28 +167,42 @@ class LambdaStream:
         pole, a non-finite map value, a zero f2 denominator), that step is
         handed to ``step``, which perturbs, raises or carries on exactly as
         it always does.
+
+        tan(theta) comes first, and each pole test runs only when
+        tt = tan(theta)^2 lies in its band, tt >= (0.1/tol)^2 for the tan
+        pole and tt <= (10 tol)^2 for the cot pole (tol = POLE_TOL at call
+        time).  Within tol of a tan pole |tan| > 0.9/tol, and within tol of
+        a cot pole |tan| < 1.1 tol, while theta < 2^19 pi, so that the
+        rounding of pi moves the k-th pole by less than 1e-10 <= tol/10.
+        theta < N pi/2, so for max(N1, N2) > 2^20 (or tol < 1e-9) both
+        tests always run.
         """
         p = self.params
-        n1, n2, a2, eps = p.n1, p.n2, p.a2, p.eps
+        n1, n2, a2, eps = float(p.n1), float(p.n2), p.a2, p.eps
         a1a1 = p.a1 * p.a1
         c1 = 1.0 - eps
         atan, sqrt, tan, fmod = math.atan, math.sqrt, math.tan, math.fmod
         pi, half_pi, tol, inf = math.pi, _HALF_PI, POLE_TOL, math.inf
+        tan_band, cot_band = (0.1 / tol) ** 2, (10.0 * tol) ** 2
+        if max(p.n1, p.n2) > 2**20 or tol < 1e-9:
+            tan_band, cot_band = 0.0, inf
         out = array("d")
         append = out.append
         x = self.state
         for _ in range(count):
             if 0.0 < x < inf:
-                theta = n1 * atan(sqrt(x))
-                r = fmod(abs(theta), pi)
-                if abs(r - half_pi) >= tol:
+                s = sqrt(x)
+                theta = n1 * atan(s)
+                t = tan(theta)
+                tt = t * t
+                if tt < tan_band or abs(fmod(theta, pi) - half_pi) >= tol:
+                    y1 = tt / a1a1
+                    theta = n2 * atan(1.0 / s)
                     t = tan(theta)
-                    y1 = (t * t) / a1a1
-                    theta = n2 * atan(1.0 / sqrt(x))
-                    r = fmod(abs(theta), pi)
-                    if y1 < inf and r >= tol and pi - r >= tol:
-                        t = tan(theta)
-                        d = t * t * a2 * a2
+                    tt = t * t
+                    if y1 < inf and (tt > cot_band or (
+                            (r := fmod(theta, pi)) >= tol and pi - r >= tol)):
+                        d = tt * a2 * a2
                         if d > 0.0:
                             y2 = 1.0 / d
                             if y2 < inf:

@@ -156,7 +156,7 @@ def _classic_entries(n: int) -> np.ndarray:
     return _INV_SQRT2 * np.vstack([top, bottom])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ButterflyMatrix:
     """Single-stage n x n sloped-Haar matrix built from its 2n slopes, held
     as its n/2 2x2 blocks.

@@ -113,6 +113,18 @@ class TestParams:
         with pytest.raises(ValueError):
             ChaosParams(**base)
 
+    @pytest.mark.parametrize("name", ["N1", "N2"])
+    @pytest.mark.parametrize("n", [10**400, 2**1024 - 2**970])
+    def test_degree_beyond_float_rejected(self, name, n):
+        with pytest.raises(OverflowError):
+            float(n)
+        with pytest.raises(ValueError, match=f"^{name} must convert to a finite float"):
+            ChaosParams(0.2, *((n, 4) if name == "N1" else (3, n)), 2.0, 2.5, 0.4)
+
+    def test_largest_float_degree_accepted(self):
+        n = 2**1024 - 2**970 - 1  # float() rounds it down to the largest float
+        assert ChaosParams(0.2, n, n, 2.0, 2.5, 0.4).n1 == n
+
 
 class TestLambdaStream:
     def test_first_iterate_matches_oracle(self):
@@ -145,6 +157,11 @@ class TestLambdaStream:
     def test_negative_burn_in_rejected(self):
         with pytest.raises(ValueError):
             LambdaStream(REFERENCE_PARAMS, burn_in=-1)
+
+    @pytest.mark.parametrize("burn_in", [True, False, 2.5, 3.0, "3", None])
+    def test_non_integer_burn_in_rejected(self, burn_in):
+        with pytest.raises(ValueError, match="^burn_in must be an integer"):
+            LambdaStream(REFERENCE_PARAMS, burn_in=burn_in)
 
     def test_lambda_range_million_draws(self):
         # 1e6 draws across 20 random parameter sets
@@ -213,6 +230,11 @@ POLE_PARAMS = [
 DEGENERATE_PARAMS = ChaosParams(1e30, 3, 4, 2.0, 2.5, 0.4)
 
 
+# Degree pairs for the pole-band test: small, at and beyond 2^20 on either map.
+POLE_BAND_DEGREES = [(2, 3), (3, 4), (17, 9), (2**20, 3), (3, 2**20),
+                     (2**20 + 1, 4), (2**40, 3)]
+
+
 def _orbit_matches_step(params, count):
     ref = _advance(params, lambda s: [s.step() for _ in range(count)])
     assert _advance(params, lambda s: s.orbit(count)) == ref
@@ -258,6 +280,55 @@ class TestOrbit:
             if err is StreamDegeneracyError:
                 degenerate += 1
         assert degenerate >= 5
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+    def test_matches_step_beside_a_pole(self, monkeypatch, tol):
+        # Seeds whose first theta1 (or theta2) lands delta from a tan (or
+        # cot) pole, on both sides of the band edges tan^2 = (0.1/tol)^2 and
+        # (10 tol)^2, and degrees on both sides of 2^20, where the band test
+        # gives way to the full pole test.
+        monkeypatch.setattr(chaos, "POLE_TOL", tol)
+        sizes = [c * 10.0**e for e in range(-13, -5) for c in (1, 3)] + [1e-5]
+        deltas = [sign * size * (tol / 1e-9) for size in sizes for sign in (1, -1)]
+        seeds = []
+        for n1, n2 in POLE_BAND_DEGREES:
+            for k in sorted({0, n1 // 4, n1 // 2 - 1}):
+                seeds += [(math.tan(((k + 0.5) * math.pi + d) / n1) ** 2, n1, n2)
+                          for d in deltas]
+            for k in sorted({0, n2 // 4, (n2 - 1) // 2 - 1}):
+                seeds += [(math.tan(((k + 1) * math.pi + d) / n2) ** -2, n1, n2)
+                          for d in deltas]
+        poles = 0
+        for x0, n1, n2 in seeds:
+            p = ChaosParams(x0, n1, n2, 2.0, 2.5, 0.4)
+            try:
+                step_coupled(x0, p)
+            except PoleError:
+                poles += 1
+            _orbit_matches_step(p, 3)
+        assert poles >= len(seeds) / 3
+
+    @pytest.mark.parametrize("n1, tol, k0", [
+        (2**40, 1e-9, 2**30),  # degree beyond 2^20
+        (2**20, 1e-12, 2**19 - 3000),  # tolerance below 1e-9
+    ], ids=["degree-2^40", "tol-1e-12"])
+    def test_poles_outside_the_band_get_the_full_test(self, monkeypatch,
+                                                       n1, tol, k0):
+        # Far out, the rounding of pi puts the pole test's k-th tan pole
+        # more than 10 tol from tan's, where |tan| < 0.1/tol lies outside the
+        # band, so only the full test finds it.
+        monkeypatch.setattr(chaos, "POLE_TOL", tol)
+        poles = 0
+        for k in range(k0, k0 + 3000):
+            x0 = math.tan((k + 0.5) * math.pi / n1) ** 2
+            p = ChaosParams(x0, n1, 3, 2.0, 2.5, 0.4)
+            try:
+                f1(x0, p.a1, n1)
+            except PoleError:
+                poles += 1
+                assert math.tan(n1 * math.atan(math.sqrt(x0))) ** 2 < (0.1 / tol) ** 2
+                _orbit_matches_step(p, 3)
+        assert poles > 0
 
     def test_zero_state_perturbed_like_step(self):
         a = LambdaStream(REFERENCE_PARAMS, burn_in=0)

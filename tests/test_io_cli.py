@@ -174,6 +174,14 @@ class TestKeyFile:
         with pytest.raises(KeyFileError, match="xx"):
             parse_key_file(bad)
 
+    @pytest.mark.parametrize("line, lineno", [("N1 = 3", 7), ("N2 = 4", 8)])
+    def test_degree_beyond_float_names_its_line(self, line, lineno):
+        name = line.split()[0]
+        bad = GOOD_KEY.replace(line, f"{name} = {10**400}", 1)
+        with pytest.raises(KeyFileError,
+                           match=fr"^stage 1 \(line {lineno}\): {name} must convert"):
+            parse_key_file(bad)
+
     def test_non_numeric_value_names_line(self):
         bad = GOOD_KEY.replace("x0 = 0.2", "x0 = two")
         with pytest.raises(KeyFileError, match="line"):
@@ -339,6 +347,15 @@ class TestCli:
                    out, str(tmp_path / "out")])
         assert rc == 2
         assert "(line 10): a2 " in capsys.readouterr().err
+
+    def test_degree_beyond_float_is_a_data_error(self, tmp_path, image_path,
+                                                 capsys):
+        key = tmp_path / "huge.key"
+        key.write_text(GOOD_KEY.replace("N1 = 3", f"N1 = {10**400}", 1))
+        rc = main(["encrypt", "--in", str(image_path), "--key", str(key),
+                   "--out", str(tmp_path / "out.pgm")])
+        assert rc == 2
+        assert "(line 7): N1 must convert to a finite float" in capsys.readouterr().err
 
     def test_crypt_takes_every_side_the_cipher_takes(self, tmp_path, key_path,
                                                      capsys):

@@ -222,6 +222,12 @@ class TestButterflyStage:
         assert h.lam.tolist() == np.linspace(-2.0, 2.0, 16).tolist()
         assert h.a0[0] == sloped_coeffs(-2.0).p0 and h.d0[-1] == sloped_coeffs(2.0).p0
 
+    def test_compares_and_hashes_by_identity(self):
+        h, g = ButterflyMatrix(np.zeros(8)), ButterflyMatrix(np.zeros(8))
+        assert h == h and h != g
+        assert hash(h) == hash(h)
+        assert {h, g, h} == {g, h} and len({h, g}) == 2
+
     @pytest.mark.parametrize("lam", [
         np.zeros(6),  # n = 3 is odd
         np.zeros(2),  # n = 1
