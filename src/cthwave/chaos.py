@@ -37,8 +37,8 @@ POLE_TOL = 1e-9
 
 DEFAULT_BURN_IN = 64
 
+MAX_DEGREE = 2**20  # largest N1, N2: LambdaStream.orbit's pole band holds
 _HALF_PI = math.pi / 2.0
-_FLOAT_INT_LIMIT = 2**1024 - 2**970  # the least int that float() rounds to inf
 
 
 class PoleError(ArithmeticError):
@@ -62,14 +62,17 @@ class ChaosParams:
     eps: float
 
     def __post_init__(self) -> None:
+        for name in ("x0", "a1", "a2", "eps"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got a bool")
         if not (math.isfinite(self.x0) and self.x0 > 0):
             raise ValueError(f"x0 must be finite and positive, got {self.x0}")
         for name, n in (("N1", self.n1), ("N2", self.n2)):
-            if not isinstance(n, int) or n < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {n}")
-            if n >= _FLOAT_INT_LIMIT:
-                raise ValueError(f"{name} must convert to a finite float, got "
-                                 f"an integer of {n.bit_length()} bits")
+            if not (isinstance(n, int) and 2 <= n <= MAX_DEGREE):
+                got = ("an integer of over 20 digits"
+                       if isinstance(n, int) and abs(n) >= 10**20 else repr(n))
+                raise ValueError(f"{name} must be an integer in [2, 2**20], "
+                                 f"got {got}")
         for name, a in (("a1", self.a1), ("a2", self.a2)):
             # a * a divides in f1 and f2, so it must not underflow to 0.
             if not (math.isfinite(a) and a > 0 and a * a > 0):
@@ -172,10 +175,9 @@ class LambdaStream:
         tt = tan(theta)^2 lies in its band, tt >= (0.1/tol)^2 for the tan
         pole and tt <= (10 tol)^2 for the cot pole (tol = POLE_TOL at call
         time).  Within tol of a tan pole |tan| > 0.9/tol, and within tol of
-        a cot pole |tan| < 1.1 tol, while theta < 2^19 pi, so that the
-        rounding of pi moves the k-th pole by less than 1e-10 <= tol/10.
-        theta < N pi/2, so for max(N1, N2) > 2^20 (or tol < 1e-9) both
-        tests always run.
+        a cot pole |tan| < 1.1 tol, as theta < N pi/2 <= 2^19 pi (N <=
+        MAX_DEGREE) keeps the rounding of pi from moving the k-th pole by
+        1e-10 <= tol/10 or more.  For tol < 1e-9 both tests always run.
         """
         p = self.params
         n1, n2, a2, eps = float(p.n1), float(p.n2), p.a2, p.eps
@@ -184,7 +186,7 @@ class LambdaStream:
         atan, sqrt, tan, fmod = math.atan, math.sqrt, math.tan, math.fmod
         pi, half_pi, tol, inf = math.pi, _HALF_PI, POLE_TOL, math.inf
         tan_band, cot_band = (0.1 / tol) ** 2, (10.0 * tol) ** 2
-        if max(p.n1, p.n2) > 2**20 or tol < 1e-9:
+        if tol < 1e-9:
             tan_band, cot_band = 0.0, inf
         out = array("d")
         append = out.append

@@ -44,8 +44,10 @@ __all__ = [
 # place.  Swapped ones need an even side, so a side is 4, 12 or a multiple of 8.
 MIN_SWAP_SIDE = 4
 
-# Extra burn-in applied to the keystream generator so its orbit segment is
-# disjoint from the one driving the stage-1 transform matrix.
+# Extra burn-in of the keystream's stream on the stage-1 parameters.  Its
+# pixels start at iterate burn_in + 1001, and stage 1's 2n slopes take
+# iterates burn_in + 1 .. burn_in + 2n, so from side 504 on the first
+# 2n - 1000 pixels share their iterates with stage 1's last slopes (v1 keys).
 KEYSTREAM_BURN_OFFSET = 1000
 
 MODES = ("literal", "keystream")
@@ -271,6 +273,9 @@ def keystream_image(ks: KeySchedule, n: int) -> np.ndarray:
 
     Driven by a dedicated stream on the stage-1 parameters with an extra
     burn-in offset; each pixel is floor(frac(x) * 256) for one iterate x.
+    Its orbit segment overlaps stage 1's from side 504 on: the first
+    2n - 1000 pixels come from the iterates of stage 1's last 2n - 1000
+    slopes (KEYSTREAM_BURN_OFFSET).
     """
     _check_side((n, n), "side")
     stream = LambdaStream(ks.stages[0], ks.burn_in + KEYSTREAM_BURN_OFFSET)

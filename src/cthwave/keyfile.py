@@ -125,6 +125,6 @@ def format_key_file(ks: KeySchedule) -> str:
     ]
     for idx, p in enumerate(ks.stages, start=1):
         lines += ["", f"[stage {idx}]"]
-        lines += [f"{name} = {getattr(p, field)!r}"
-                  for name, (field, _, _) in _STAGE_FIELDS.items()]
+        lines += [f"{name} = {parse(getattr(p, field))!r}"
+                  for name, (field, parse, _) in _STAGE_FIELDS.items()]
     return "\n".join(lines) + "\n"

@@ -18,6 +18,8 @@ from cthwave.chaos import (
 
 from conftest import REFERENCE_PARAMS, random_chaos_params
 
+DEGREE_RULE = r"must be an integer in \[2, 2\*\*20\]"
+
 
 class TestMaps:
     def test_f1_degree_one_is_linear(self):
@@ -118,12 +120,32 @@ class TestParams:
     def test_degree_beyond_float_rejected(self, name, n):
         with pytest.raises(OverflowError):
             float(n)
-        with pytest.raises(ValueError, match=f"^{name} must convert to a finite float"):
+        with pytest.raises(ValueError, match=fr"^{name} {DEGREE_RULE}, got an "
+                                             r"integer of over 20 digits$"):
             ChaosParams(0.2, *((n, 4) if name == "N1" else (3, n)), 2.0, 2.5, 0.4)
 
-    def test_largest_float_degree_accepted(self):
-        n = 2**1024 - 2**970 - 1  # float() rounds it down to the largest float
+    def test_largest_degree_accepted(self):
+        n = chaos.MAX_DEGREE
+        assert n == 2**20
         assert ChaosParams(0.2, n, n, 2.0, 2.5, 0.4).n1 == n
+        with pytest.raises(ValueError, match=fr"^N2 {DEGREE_RULE}, got 1048577$"):
+            ChaosParams(0.2, n, n + 1, 2.0, 2.5, 0.4)
+
+    @pytest.mark.parametrize("name", ["N1", "N2"])
+    def test_degree_whose_angle_overflows_rejected(self, name):
+        # theta = N atan(sqrt(x)) overflows to inf once atan(sqrt(x)) > 1,
+        # and tan(inf) would raise a bare "math domain error" in the orbit.
+        n = 2**1024 - 2**971
+        assert math.isinf(n * math.atan(math.sqrt(4.0)))
+        with pytest.raises(ValueError, match=f"^{name} {DEGREE_RULE}") as exc:
+            ChaosParams(0.7, *((n, 3) if name == "N1" else (3, n)), 2.0, 2.5, 0.4)
+        assert len(str(exc.value)) < 80
+
+    @pytest.mark.parametrize("name", ["x0", "a1", "a2", "eps"])
+    def test_bool_number_rejected(self, name):
+        base = dict(x0=0.2, n1=3, n2=4, a1=2.0, a2=2.5, eps=0.4)
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got a bool"):
+            ChaosParams(**{**base, name: True})
 
 
 class TestLambdaStream:
@@ -230,9 +252,8 @@ POLE_PARAMS = [
 DEGENERATE_PARAMS = ChaosParams(1e30, 3, 4, 2.0, 2.5, 0.4)
 
 
-# Degree pairs for the pole-band test: small, at and beyond 2^20 on either map.
-POLE_BAND_DEGREES = [(2, 3), (3, 4), (17, 9), (2**20, 3), (3, 2**20),
-                     (2**20 + 1, 4), (2**40, 3)]
+# Degree pairs for the pole-band test: small, and 2^20 on either map.
+POLE_BAND_DEGREES = [(2, 3), (3, 4), (17, 9), (2**20, 3), (3, 2**20)]
 
 
 def _orbit_matches_step(params, count):
@@ -285,8 +306,7 @@ class TestOrbit:
     def test_matches_step_beside_a_pole(self, monkeypatch, tol):
         # Seeds whose first theta1 (or theta2) lands delta from a tan (or
         # cot) pole, on both sides of the band edges tan^2 = (0.1/tol)^2 and
-        # (10 tol)^2, and degrees on both sides of 2^20, where the band test
-        # gives way to the full pole test.
+        # (10 tol)^2, and degrees up to 2^20, the largest a key may take.
         monkeypatch.setattr(chaos, "POLE_TOL", tol)
         sizes = [c * 10.0**e for e in range(-13, -5) for c in (1, 3)] + [1e-5]
         deltas = [sign * size * (tol / 1e-9) for size in sizes for sign in (1, -1)]
@@ -309,9 +329,8 @@ class TestOrbit:
         assert poles >= len(seeds) / 3
 
     @pytest.mark.parametrize("n1, tol, k0", [
-        (2**40, 1e-9, 2**30),  # degree beyond 2^20
         (2**20, 1e-12, 2**19 - 3000),  # tolerance below 1e-9
-    ], ids=["degree-2^40", "tol-1e-12"])
+    ], ids=["tol-1e-12"])
     def test_poles_outside_the_band_get_the_full_test(self, monkeypatch,
                                                        n1, tol, k0):
         # Far out, the rounding of pi puts the pole test's k-th tan pole

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cthwave import cipher
-from cthwave.chaos import ChaosParams
+from cthwave.chaos import ChaosParams, LambdaStream
 from cthwave.cipher import (
     MASK_CACHE_SIZE,
     MIN_SWAP_SIDE,
@@ -279,6 +279,20 @@ class TestKeystream:
         a = keystream_image(ks, 128)
         b = keystream_image(perturbed, 128)
         assert npcr(a, b) > 98.0
+
+    def test_shares_stage_one_iterates_from_side_504(self, default_keystream_key):
+        # Stage 1's 2n slopes use iterates burn_in + 1 .. burn_in + 2n of the
+        # stage-1 orbit, and the keystream starts at burn_in + 1001, so at
+        # n = 512 its first 24 pixels come from stage 1's last 24 iterates.
+        ks, n = default_keystream_key, 512
+        p1, b = ks.stages[0], ks.burn_in
+        assert cipher.KEYSTREAM_BURN_OFFSET == 1000
+        shared = LambdaStream(p1, b).orbit(2 * n)[1000:]
+        assert shared == LambdaStream(p1, b + 1000).orbit(2 * n - 1000)
+        x = np.array(shared)
+        assert len(x) == 24
+        assert np.array_equal(keystream_image(ks, n).reshape(-1)[:24],
+                              np.floor((x - np.floor(x)) * 256.0))
 
 
 class TestEncryptDecrypt:

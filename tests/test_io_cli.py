@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cthwave.chaos import ChaosParams
 from cthwave.cipher import KeySchedule, _stage_matrices
 from cthwave.cli import ANALYZE_PAIRS, _build_parser, main
 from cthwave.imageio import (
@@ -178,9 +179,44 @@ class TestKeyFile:
     def test_degree_beyond_float_names_its_line(self, line, lineno):
         name = line.split()[0]
         bad = GOOD_KEY.replace(line, f"{name} = {10**400}", 1)
-        with pytest.raises(KeyFileError,
-                           match=fr"^stage 1 \(line {lineno}\): {name} must convert"):
+        with pytest.raises(KeyFileError, match=fr"^stage 1 \(line {lineno}\): "
+                                               fr"{name} must be an integer in"):
             parse_key_file(bad)
+
+    def test_degree_above_2_to_the_20_names_its_line(self):
+        bad = GOOD_KEY.replace("N1 = 3", "N1 = 1048577", 1)
+        with pytest.raises(KeyFileError, match=r"^stage 1 \(line 7\): N1 must be "
+                                               r"an integer in \[2, 2\*\*20\]"):
+            parse_key_file(bad)
+        good = GOOD_KEY.replace("N1 = 3", "N1 = 1048576", 1)
+        assert parse_key_file(good).stages[0].n1 == 2**20
+
+    def test_numpy_floats_survive_the_formatter(self):
+        p = ChaosParams(np.float64(0.2), 3, 4, np.float64(2.0), 2.5, 0.4)
+        ks = KeySchedule(stages=(p,) * 4)
+        text = format_key_file(ks)
+        assert "np." not in text
+        assert parse_key_file(text) == ks
+
+    def test_random_keys_survive_the_formatter(self):
+        rng = np.random.default_rng(17)
+
+        def number(lo, hi, kinds=3):
+            """A float or numpy float from [lo, hi), or with kinds=3 an int."""
+            v = rng.uniform(lo, hi)
+            return (float(v), np.float64(v), int(v) + 1)[rng.integers(kinds)]
+
+        for _ in range(50):
+            stages = tuple(
+                ChaosParams(number(0.05, 3.0), int(rng.integers(2, 2**20 + 1)),
+                            int(rng.integers(2, 6)), number(0.5, 3.0),
+                            number(0.5, 3.0), number(0.05, 0.95, kinds=2))
+                for _ in range(4)
+            )
+            ks = KeySchedule(stages=stages, burn_in=int(rng.integers(0, 100)),
+                             normalized=bool(rng.integers(2)),
+                             mode=("literal", "keystream")[rng.integers(2)])
+            assert parse_key_file(format_key_file(ks)) == ks
 
     def test_non_numeric_value_names_line(self):
         bad = GOOD_KEY.replace("x0 = 0.2", "x0 = two")
@@ -355,7 +391,17 @@ class TestCli:
         rc = main(["encrypt", "--in", str(image_path), "--key", str(key),
                    "--out", str(tmp_path / "out.pgm")])
         assert rc == 2
-        assert "(line 7): N1 must convert to a finite float" in capsys.readouterr().err
+        assert "(line 7): N1 must be an integer in [2, 2**20]" in capsys.readouterr().err
+
+    def test_degree_above_2_to_the_20_is_a_data_error(self, tmp_path, image_path,
+                                                      capsys):
+        key = tmp_path / "wide.key"
+        key.write_text(GOOD_KEY.replace("N1 = 3", "N1 = 1048577", 1))
+        rc = main(["encrypt", "--in", str(image_path), "--key", str(key),
+                   "--out", str(tmp_path / "out.pgm")])
+        assert rc == 2
+        assert "(line 7): N1 must be an integer in [2, 2**20], got 1048577" in (
+            capsys.readouterr().err)
 
     def test_crypt_takes_every_side_the_cipher_takes(self, tmp_path, key_path,
                                                      capsys):
