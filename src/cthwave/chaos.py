@@ -63,16 +63,23 @@ class ChaosParams:
 
     def __post_init__(self) -> None:
         for name in ("x0", "a1", "a2", "eps"):
-            if isinstance(getattr(self, name), bool):
+            v = getattr(self, name)
+            if isinstance(v, bool):
                 raise ValueError(f"{name} must be a number, got a bool")
+            # format_key_file writes float(v), which must read back as v.
+            try:
+                exact = float(v) == v
+            except (TypeError, ValueError, OverflowError):  # e.g. 10**400
+                exact = False
+            if not exact:
+                raise ValueError(f"{name} must be a real number a float "
+                                 f"holds exactly, got {_shown(v)}")
         if not (math.isfinite(self.x0) and self.x0 > 0):
             raise ValueError(f"x0 must be finite and positive, got {self.x0}")
         for name, n in (("N1", self.n1), ("N2", self.n2)):
             if not (isinstance(n, int) and 2 <= n <= MAX_DEGREE):
-                got = ("an integer of over 20 digits"
-                       if isinstance(n, int) and abs(n) >= 10**20 else repr(n))
                 raise ValueError(f"{name} must be an integer in [2, 2**20], "
-                                 f"got {got}")
+                                 f"got {_shown(n)}")
         for name, a in (("a1", self.a1), ("a2", self.a2)):
             # a * a divides in f1 and f2, so it must not underflow to 0.
             if not (math.isfinite(a) and a > 0 and a * a > 0):
@@ -80,6 +87,13 @@ class ChaosParams:
                                  f"nonzero square, got {a}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
+
+
+def _shown(v: object) -> str:
+    """repr(v), but an integer of 20 or more digits is not spelled out."""
+    if isinstance(v, int) and abs(v) >= 10**20:
+        return "an integer of over 20 digits"
+    return repr(v)
 
 
 def f1(x: float, a: float, n: int) -> float:

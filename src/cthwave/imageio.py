@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +53,10 @@ class GrayImage:
 
 
 def read_pgm(path: Union[str, Path]) -> GrayImage:
-    """Read a binary PGM (magic P5, maxval 255); comments permitted."""
+    """Read a binary PGM (magic P5, maxval 255); comments permitted.
+
+    write_pgm overwrites in place, so a read racing a write may mix bytes.
+    """
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise PgmError("not a binary PGM (missing P5 magic)")
@@ -73,17 +77,27 @@ def read_pgm(path: Union[str, Path]) -> GrayImage:
         raise PgmError(f"{path}: unsupported maxval {maxval} (must be 255)")
     # Exactly one whitespace byte separates the header from the payload.
     pos += 1
-    payload = data[pos : pos + width * height]
-    if len(payload) < width * height:
+    if len(data) - pos < width * height:
         raise PgmError(f"{path}: truncated pixel payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return GrayImage(pixels.copy())
+    pixels = np.frombuffer(data, np.uint8, width * height, pos)
+    return GrayImage(pixels.reshape(height, width).copy())
 
 
 def write_pgm(img: GrayImage, path: Union[str, Path]) -> None:
-    """Write a binary PGM; write-then-read is the identity."""
+    """Write a binary PGM; write-then-read is the identity.
+
+    An old file is overwritten in place and trimmed if longer, never emptied
+    first (on ext4 that starts writeback at close).  It is not atomic.
+    """
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.pixels.tobytes())
+    # O_BINARY (Windows only) stops text mode turning \n into \r\n.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as f:
+        f.write(header)
+        f.write(np.ascontiguousarray(img.pixels))
+        # Devices and pipes report size 0, and truncate() fails on them.
+        if os.fstat(fd).st_size > f.tell():
+            f.truncate()
 
 
 def rescale_to_bytes(values: np.ndarray) -> np.ndarray:

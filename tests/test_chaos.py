@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +142,23 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{name} {DEGREE_RULE}") as exc:
             ChaosParams(0.7, *((n, 3) if name == "N1" else (3, n)), 2.0, 2.5, 0.4)
         assert len(str(exc.value)) < 80
+
+    @pytest.mark.parametrize("name", ["x0", "a1", "a2", "eps"])
+    @pytest.mark.parametrize("value, shown", [
+        (Fraction(1, 3), r"Fraction\(1, 3\)"),
+        (Decimal("0.1"), r"Decimal\('0\.1'\)"),
+        (10**400, "an integer of over 20 digits"),
+    ], ids=["fraction", "decimal", "10**400"])
+    def test_number_no_float_holds_rejected(self, name, value, shown):
+        # format_key_file would write float(value), which parses to another key.
+        base = dict(x0=0.2, n1=3, n2=4, a1=2.0, a2=2.5, eps=0.4)
+        with pytest.raises(ValueError, match=fr"^{name} must be a real number a "
+                                             fr"float holds exactly, got {shown}$"):
+            ChaosParams(**{**base, name: value})
+
+    def test_number_a_float_holds_accepted(self):
+        p = ChaosParams(Fraction(1, 2), 3, 4, Decimal("2.5"), np.float32(2.5), 0.4)
+        assert (p.x0, p.a1, p.a2) == (0.5, 2.5, 2.5)
 
     @pytest.mark.parametrize("name", ["x0", "a1", "a2", "eps"])
     def test_bool_number_rejected(self, name):

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,45 @@ class TestPgm:
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
         with pytest.raises(PgmError, match="truncated"):
             read_pgm(path)
+
+    def test_small_image_over_longer_file_is_trimmed(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        write_pgm(GrayImage(np.full((32, 48), 7, np.uint8)), path)
+        small = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
+        write_pgm(small, path)
+        assert np.array_equal(read_pgm(path).pixels, small.pixels)
+        assert path.read_bytes() == b"P5\n4 4\n255\n" + bytes(range(16))
+
+    def test_large_image_over_shorter_file(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        write_pgm(GrayImage(np.zeros((4, 4), np.uint8)), path)
+        rng = np.random.default_rng(1)
+        big = GrayImage(rng.integers(0, 256, (64, 40)).astype(np.uint8))
+        write_pgm(big, path)
+        assert np.array_equal(read_pgm(path).pixels, big.pixels)
+        assert path.stat().st_size == len(b"P5\n40 64\n255\n") + 64 * 40
+
+    def test_non_contiguous_view_written_in_c_order(self, tmp_path):
+        a = np.arange(96, dtype=np.uint8).reshape(8, 12)
+        view = a.T[::2]
+        assert not view.flags.c_contiguous
+        path = tmp_path / "view.pgm"
+        write_pgm(GrayImage(view), path)
+        assert path.read_bytes() == b"P5\n8 6\n255\n" + view.tobytes(order="C")
+        assert np.array_equal(read_pgm(path).pixels, view)
+
+    def test_write_to_devnull(self):
+        write_pgm(GrayImage(np.zeros((8, 8), np.uint8)), os.devnull)
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "new.pgm"
+        old = os.umask(0o027)
+        try:
+            write_pgm(GrayImage(np.zeros((4, 4), np.uint8)), path)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
 
     def test_rescale(self):
         v = np.array([[0.0, 1.0], [2.0, 3.0]])
@@ -273,6 +315,10 @@ class TestCli:
         assert main(["decrypt", "--in", str(enc), "--key", str(key_path),
                      "--out", str(dec)]) == 0
         assert read_pgm(dec).pixels.tobytes() == read_pgm(image_path).pixels.tobytes()
+
+    def test_encrypt_to_devnull(self, image_path, key_path):
+        assert main(["encrypt", "--in", str(image_path), "--key", str(key_path),
+                     "--out", os.devnull]) == 0
 
     def test_decrypt_refuses_literal_mode(self, tmp_path, image_path, capsys):
         key = tmp_path / "literal.key"
