@@ -81,9 +81,10 @@ class ChaosParams:
                 raise ValueError(f"{name} must be an integer in [2, 2**20], "
                                  f"got {_shown(n)}")
         for name, a in (("a1", self.a1), ("a2", self.a2)):
-            # a * a divides in f1 and f2, so it must not underflow to 0.
-            if not (math.isfinite(a) and a > 0 and a * a > 0):
-                raise ValueError(f"{name} must be finite and positive with a "
+            # a * a divides in f1 and f2, so it must neither underflow to 0
+            # nor overflow to inf (which would make every iterate 0).
+            if not (a > 0 and 0 < a * a < math.inf):
+                raise ValueError(f"{name} must be positive with a finite "
                                  f"nonzero square, got {a}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
@@ -232,18 +233,15 @@ class LambdaStream:
         return out
 
     def lambdas(self, count: int) -> np.ndarray:
-        """Advance ``count`` steps and fold the iterates as ``next_lambda``
-        would, with the same IEEE operations, so the slopes are bit-identical."""
+        """Advance ``count`` steps and fold the iterates as ``next`` would,
+        with the same IEEE operations, so the slopes are bit-identical."""
         x = np.frombuffer(self.orbit(count), dtype=float)
         return 4.0 * (x - np.floor(x)) - 2.0
-
-    def next_lambda(self) -> float:
-        """Advance one step and fold the iterate into lambda in [-2, 2)."""
-        x = self.step()
-        return 4.0 * (x - math.floor(x)) - 2.0
 
     def __iter__(self) -> "LambdaStream":
         return self
 
     def __next__(self) -> float:
-        return self.next_lambda()
+        """Advance one step and fold the iterate into lambda in [-2, 2)."""
+        x = self.step()
+        return 4.0 * (x - math.floor(x)) - 2.0

@@ -27,13 +27,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "SlopedCoeffs",
     "ButterflyMatrix",
     "SubBands",
-    "sloped_coeffs",
     "phi",
     "psi",
-    "project_1d",
     "classic_haar_matrix",
     "build_level_matrix",
     "forward_2d",
@@ -47,23 +44,14 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class SlopedCoeffs:
-    """Scaling coefficients (p0, p1) attached to one slope value."""
-
-    lam: float
-    p0: float
-    p1: float
-
-
-def sloped_coeffs(lam: float) -> SlopedCoeffs:
-    """Scaling coefficients of the sloped scaling function.
-
-    Both quadratics are strictly positive on [-2, 2], so p0, p1 > 0.
-    """
-    if not -2.0 <= lam <= 2.0:
-        raise ValueError(f"lambda must lie in [-2, 2], got {lam}")
-    return SlopedCoeffs(lam, *_scaling_pair(lam))
+def _check_slopes(lam) -> None:
+    """Refuse a slope, or any of an array of slopes, outside [-2, 2] (NaN
+    included), the range on which phi stays nonnegative and p0, p1 lie in
+    [2/3, 5/3]."""
+    lam = np.asarray(lam)
+    outside = ~(np.abs(lam) <= 2.0)
+    if outside.any():
+        raise ValueError(f"lambda must lie in [-2, 2], got {lam[outside][0]}")
 
 
 def _scaling_pair(lam):
@@ -74,6 +62,7 @@ def _scaling_pair(lam):
 
 def phi(x, lam: float):
     """Sloped scaling function: lam*(x - 1/2) + 1 on [0, 1), 0 elsewhere."""
+    _check_slopes(lam)
     x = np.asarray(x, dtype=float)
     inside = (x >= 0.0) & (x < 1.0)
     val = lam * (x - 0.5) + 1.0
@@ -83,56 +72,17 @@ def phi(x, lam: float):
 
 def psi(x, lam: float):
     """Sloped Haar wavelet, piecewise linear on [0, 1/2) and [1/2, 1)."""
+    _check_slopes(lam)
     x = np.asarray(x, dtype=float)
-    c = sloped_coeffs(lam)
-    left = c.p1 * (2.0 * lam * x - lam / 2.0 + 1.0)
-    right = -c.p0 * (2.0 * lam * x - 3.0 * lam / 2.0 + 1.0)
+    p0, p1 = _scaling_pair(lam)
+    left = p1 * (2.0 * lam * x - lam / 2.0 + 1.0)
+    right = -p0 * (2.0 * lam * x - 3.0 * lam / 2.0 + 1.0)
     out = np.where(
         (x >= 0.0) & (x < 0.5),
         left,
         np.where((x >= 0.5) & (x < 1.0), right, 0.0),
     )
     return out if out.ndim else float(out)
-
-
-def project_1d(samples: Sequence[float], level: int, lam: float) -> np.ndarray:
-    """Scaling coefficients c_{m,k} of a uniformly sampled signal on [0, L).
-
-    The signal is assumed sampled at x_i = i * L / len(samples); L is taken
-    as 1 so that level m produces 2^m coefficients.  Each coefficient is the
-    trapezoidal quadrature of f(x) * phi(2^m x - k, lam) over the dyadic
-    interval [k 2^-m, (k+1) 2^-m); phi carries unnormalized amplitude, so a
-    constant signal of 1 yields coefficients 2^-m at lam = 0.
-    """
-    y = np.asarray(samples, dtype=float)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("samples must be a 1-D sequence of length >= 2")
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    n = y.size
-    x = np.arange(n) / n
-    n_coef = 2**level
-    coeffs = np.empty(n_coef)
-    for k in range(n_coef):
-        a, b = k / n_coef, (k + 1) / n_coef
-        mask = (x >= a) & (x < b)
-        if mask.sum() < 2:
-            raise ValueError(
-                f"fewer than 2 samples in dyadic interval [{a}, {b}) "
-                f"at level {level}"
-            )
-        xs = x[mask]
-        # Close the interval on the right with the next sample (limit from
-        # inside the interval: evaluate phi by its linear expression).
-        if b <= x[-1]:
-            xs = np.append(xs, b)
-            ys = np.append(y[mask], np.interp(b, x, y))
-        else:
-            ys = y[mask]
-        u = 2**level * xs - k
-        integrand = ys * (lam * (u - 0.5) + 1.0)
-        coeffs[k] = np.trapezoid(integrand, xs)
-    return coeffs
 
 
 def classic_haar_matrix(n: int) -> np.ndarray:
@@ -184,9 +134,7 @@ class ButterflyMatrix:
         if lam.ndim != 1 or lam.size != 2 * n or n < 2 or n % 2:
             raise ValueError(f"need a 1-D array of 2n slopes with n even and >= 2, "
                              f"got shape {lam.shape}")
-        outside = ~(np.abs(lam) <= 2.0)
-        if outside.any():
-            raise ValueError(f"lambda must lie in [-2, 2], got {lam[outside][0]}")
+        _check_slopes(lam)
         scale = _INV_SQRT2 if self.normalized else 1.0
         p0, p1 = _scaling_pair(lam)
         p0, p1 = scale * p0, scale * p1

@@ -117,6 +117,16 @@ class TestParams:
         with pytest.raises(ValueError):
             ChaosParams(**base)
 
+    @pytest.mark.parametrize("name", ["a1", "a2"])
+    @pytest.mark.parametrize("a", [1e200, 1.4e154])
+    def test_scale_whose_square_overflows_rejected(self, name, a):
+        # a * a = inf would make every iterate t * t / inf = 0
+        assert a * a == math.inf
+        base = dict(x0=0.2, n1=3, n2=4, a1=2.0, a2=2.5, eps=0.4)
+        with pytest.raises(ValueError, match=f"^{name} must be positive with a "
+                                             "finite nonzero square"):
+            ChaosParams(**{**base, name: a})
+
     @pytest.mark.parametrize("name", ["N1", "N2"])
     @pytest.mark.parametrize("n", [10**400, 2**1024 - 2**970])
     def test_degree_beyond_float_rejected(self, name, n):
@@ -173,14 +183,18 @@ class TestLambdaStream:
         assert s.step() == pytest.approx(1.4708, rel=1e-12)
 
     def test_fold_rule(self):
-        # lambda = 4 frac(x) - 2 on handpicked iterates
-        assert 4.0 * (0.0 - math.floor(0.0)) - 2.0 == -2.0
-        assert 4.0 * (1.5 - math.floor(1.5)) - 2.0 == 0.0
-        assert 4.0 * (2.75 - math.floor(2.75)) - 2.0 == 1.0
+        # lambda = 4 frac(x) - 2 of each orbit iterate, exactly
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            p = random_chaos_params(rng)
+            lams = LambdaStream(p, 0).lambdas(1000).tolist()
+            xs = LambdaStream(p, 0).orbit(1000)
+            assert lams == [4.0 * (x - math.floor(x)) - 2.0 for x in xs]
+            assert all(-2.0 <= lam < 2.0 for lam in lams)
 
     def test_first_lambda_from_worked_example(self):
         s = LambdaStream(REFERENCE_PARAMS, burn_in=0)
-        lam = s.next_lambda()
+        lam = next(s)
         assert lam == pytest.approx(4 * (1.4708 - 1.0) - 2, rel=1e-9)
 
     def test_determinism(self):
@@ -209,7 +223,7 @@ class TestLambdaStream:
         rng = np.random.default_rng(42)
         for _ in range(20):
             s = LambdaStream(random_chaos_params(rng), burn_in=16)
-            lams = [s.next_lambda() for _ in range(50_000)]
+            lams = [next(s) for _ in range(50_000)]
             assert min(lams) >= -2.0
             assert max(lams) < 2.0
 
@@ -231,7 +245,7 @@ class TestLambdaStream:
             pb = ChaosParams(x0 + 1e-10, 3, 4, 2.0, 2.5, 0.4)
             sa, sb = LambdaStream(pa, 0), LambdaStream(pb, 0)
             if any(
-                abs(sa.next_lambda() - sb.next_lambda()) > 0.1 for _ in range(100)
+                abs(next(sa) - next(sb)) > 0.1 for _ in range(100)
             ):
                 passed += 1
         assert passed >= 45
@@ -246,7 +260,7 @@ class TestLambdaStream:
 
 def _take(stream, k):
     for _ in range(k):
-        yield stream.next_lambda()
+        yield next(stream)
 
 
 def _advance(params, advance):
@@ -392,33 +406,33 @@ class TestOrbit:
         assert err is StreamDegeneracyError
 
 
-def _lambdas_match_next_lambda(params, count):
-    ref = _advance(params, lambda s: [s.next_lambda() for _ in range(count)])
+def _lambdas_match_next(params, count):
+    ref = _advance(params, lambda s: [next(s) for _ in range(count)])
     assert _advance(params, lambda s: s.lambdas(count)) == ref
     return ref
 
 
 class TestLambdas:
-    def test_matches_next_lambda_on_random_keys(self):
+    def test_matches_next_on_random_keys(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            lams, err, _ = _lambdas_match_next_lambda(random_chaos_params(rng), 3000)
+            lams, err, _ = _lambdas_match_next(random_chaos_params(rng), 3000)
             assert err is None and len(lams) == 3000
 
     @pytest.mark.parametrize("params", POLE_PARAMS)
-    def test_matches_next_lambda_through_a_pole(self, params):
-        lams, err, _ = _lambdas_match_next_lambda(params, 200)
+    def test_matches_next_through_a_pole(self, params):
+        lams, err, _ = _lambdas_match_next(params, 200)
         assert err is None and len(lams) == 200
 
-    def test_degenerate_stream_raises_like_next_lambda(self):
-        _, err, state = _lambdas_match_next_lambda(DEGENERATE_PARAMS, 10)
+    def test_degenerate_stream_raises_like_next(self):
+        _, err, state = _lambdas_match_next(DEGENERATE_PARAMS, 10)
         assert err is StreamDegeneracyError and state == float.hex(1e30)
 
-    def test_interleaves_with_step_and_next_lambda(self):
+    def test_interleaves_with_step_and_next(self):
         a = LambdaStream(REFERENCE_PARAMS, burn_in=5)
         b = LambdaStream(REFERENCE_PARAMS, burn_in=5)
-        got = [a.step(), *a.lambdas(50), a.next_lambda(), a.step(), *a.lambdas(7)]
-        want = ([b.step()] + [b.next_lambda() for _ in range(51)] + [b.step()]
-                + [b.next_lambda() for _ in range(7)])
+        got = [a.step(), *a.lambdas(50), next(a), a.step(), *a.lambdas(7)]
+        want = ([b.step()] + [next(b) for _ in range(51)] + [b.step()]
+                + [next(b) for _ in range(7)])
         assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
         assert float.hex(a.state) == float.hex(b.state)

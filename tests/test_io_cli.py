@@ -233,6 +233,15 @@ class TestKeyFile:
         good = GOOD_KEY.replace("N1 = 3", "N1 = 1048576", 1)
         assert parse_key_file(good).stages[0].n1 == 2**20
 
+    @pytest.mark.parametrize("line, lineno", [("a1 = 2", 9), ("a2 = 2.5", 10)])
+    def test_overflowing_map_scale_names_its_line(self, line, lineno):
+        name = line.split()[0]
+        bad = GOOD_KEY.replace(line, f"{name} = 1e200", 1)
+        with pytest.raises(KeyFileError, match=fr"^stage 1 \(line {lineno}\): "
+                                               fr"{name} must be positive with a "
+                                               fr"finite nonzero square"):
+            parse_key_file(bad)
+
     def test_numpy_floats_survive_the_formatter(self):
         p = ChaosParams(np.float64(0.2), 3, 4, np.float64(2.0), 2.5, 0.4)
         ks = KeySchedule(stages=(p,) * 4)
@@ -429,6 +438,15 @@ class TestCli:
                    out, str(tmp_path / "out")])
         assert rc == 2
         assert "(line 10): a2 " in capsys.readouterr().err
+
+    def test_overflowing_map_scale_is_a_data_error(self, tmp_path, image_path,
+                                                   capsys):
+        key = tmp_path / "vast.key"
+        key.write_text(GOOD_KEY.replace("a1 = 2\n", "a1 = 1e200\n", 1))
+        rc = main(["encrypt", "--in", str(image_path), "--key", str(key),
+                   "--out", str(tmp_path / "out.pgm")])
+        assert rc == 2
+        assert "(line 9): a1 must be positive" in capsys.readouterr().err
 
     def test_degree_beyond_float_is_a_data_error(self, tmp_path, image_path,
                                                  capsys):

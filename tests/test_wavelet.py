@@ -17,11 +17,10 @@ from cthwave.wavelet import (
     inverse_2d,
     merge_subbands,
     phi,
-    project_1d,
     psi,
     reconstruct,
-    sloped_coeffs,
     split_subbands,
+    _scaling_pair,
 )
 
 from conftest import (
@@ -40,27 +39,21 @@ def midpoint_quadrature(f, a, b, cells=2**14):
     return float(np.sum(f(mids)) * (b - a) / cells)
 
 
-class TestSlopedCoeffs:
+class TestScalingPair:
     def test_zero_slope_is_classic(self):
-        c = sloped_coeffs(0.0)
-        assert c.p0 == 1.0 and c.p1 == 1.0
+        assert _scaling_pair(0.0) == (1.0, 1.0)
 
     def test_worked_example_values(self):
-        assert sloped_coeffs(1.469).p0 == pytest.approx(0.7227, abs=5e-5)
-        assert sloped_coeffs(-0.070).p1 == pytest.approx(0.9827, abs=5e-5)
-
-    def test_out_of_range_rejected(self):
-        for lam in (-2.0001, 2.0001, 5.0):
-            with pytest.raises(ValueError):
-                sloped_coeffs(lam)
+        assert _scaling_pair(1.469)[0] == pytest.approx(0.7227, abs=5e-5)
+        assert _scaling_pair(-0.070)[1] == pytest.approx(0.9827, abs=5e-5)
 
     @given(lam=st.floats(-2.0, 2.0))
     def test_identities(self, lam):
-        c = sloped_coeffs(lam)
-        assert c.p0 == pytest.approx(lam**2 / 24 - lam / 4 + 1, rel=1e-12)
-        assert c.p1 == pytest.approx(lam**2 / 24 + lam / 4 + 1, rel=1e-12)
-        assert c.p0 > 0 and c.p1 > 0
-        assert c.p0 + c.p1 == pytest.approx(lam**2 / 12 + 2, rel=1e-12)
+        p0, p1 = _scaling_pair(lam)
+        assert p0 == pytest.approx(lam**2 / 24 - lam / 4 + 1, rel=1e-12)
+        assert p1 == pytest.approx(lam**2 / 24 + lam / 4 + 1, rel=1e-12)
+        assert p0 > 0 and p1 > 0
+        assert p0 + p1 == pytest.approx(lam**2 / 12 + 2, rel=1e-12)
 
 
 class TestScalingAndWavelet:
@@ -73,6 +66,16 @@ class TestScalingAndWavelet:
         assert phi(0.999, 0.0) == 1.0
         assert phi(-0.001, 0.0) == 0.0
         assert phi(1.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("lam", [-2.0001, 2.0001, math.nan])
+    def test_phi_refuses_slope_outside_range(self, lam):
+        with pytest.raises(ValueError, match="^lambda must lie in"):
+            phi(0.5, lam)
+
+    def test_psi_refuses_slope_outside_range(self):
+        for lam in (-2.0001, 2.0001, 5.0):
+            with pytest.raises(ValueError, match="^lambda must lie in"):
+                psi(0.25, lam)
 
     def test_psi_zero_slope_is_step(self):
         assert psi(0.25, 0.0) == 1.0
@@ -88,27 +91,6 @@ class TestScalingAndWavelet:
         for lam in (-2.0, -1.0, 0.5, 2.0):
             mean = midpoint_quadrature(lambda x: psi(x, lam), 0.0, 1.0)
             assert mean == pytest.approx(0.25 * lam, abs=1e-6)
-
-
-class TestProject1d:
-    def test_constant_signal(self):
-        samples = np.ones(4096)
-        for m in (0, 1, 3):
-            coeffs = project_1d(samples, level=m, lam=0.0)
-            assert coeffs.shape == (2**m,)
-            assert np.allclose(coeffs, 2.0**-m, atol=1e-3)
-
-    def test_zero_signal(self):
-        assert np.allclose(project_1d(np.zeros(256), 2, 0.7), 0.0)
-
-    def test_linear_signal_level_zero(self):
-        x = np.arange(4096) / 4096
-        (c,) = project_1d(x, level=0, lam=0.0)
-        assert c == pytest.approx(0.5, abs=1e-3)
-
-    def test_resolution_error(self):
-        with pytest.raises(ValueError):
-            project_1d(np.ones(4), level=3, lam=0.0)
 
 
 class TestClassicHaar:
@@ -220,7 +202,7 @@ class TestButterflyStage:
         lam[:] = 0.0
         assert not h.lam.flags.writeable
         assert h.lam.tolist() == np.linspace(-2.0, 2.0, 16).tolist()
-        assert h.a0[0] == sloped_coeffs(-2.0).p0 and h.d0[-1] == sloped_coeffs(2.0).p0
+        assert h.a0[0] == _scaling_pair(-2.0)[0] and h.d0[-1] == _scaling_pair(2.0)[0]
 
     def test_compares_and_hashes_by_identity(self):
         h, g = ButterflyMatrix(np.zeros(8)), ButterflyMatrix(np.zeros(8))
