@@ -14,9 +14,10 @@ import numpy as np
 
 from cthwave.chaos import ChaosParams
 from cthwave.cipher import KeySchedule, encrypt
-from cthwave.cli import ANALYZE_PAIRS, KEYSPACE_INSTANCES
 from cthwave.imageio import read_pgm, synthetic_test_image
 from cthwave.metrics import (
+    ANALYZE_PAIRS,
+    KEYSPACE_INSTANCES,
     correlation_adjacent,
     entropy_normalized,
     key_space_bits,

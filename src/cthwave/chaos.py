@@ -74,6 +74,8 @@ class ChaosParams:
             if not exact:
                 raise ValueError(f"{name} must be a real number a float "
                                  f"holds exactly, got {_shown(v)}")
+            # Equal keys must drive the same float orbit (np.float32 would not).
+            object.__setattr__(self, name, float(v))
         if not (math.isfinite(self.x0) and self.x0 > 0):
             raise ValueError(f"x0 must be finite and positive, got {self.x0}")
         for name, n in (("N1", self.n1), ("N2", self.n2)):
@@ -150,7 +152,6 @@ class LambdaStream:
         if burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {burn_in}")
         self.params = params
-        self.burn_in = burn_in
         self.state = params.x0
         self.orbit(burn_in)
 

@@ -28,7 +28,6 @@ from cthwave.wavelet import (
 
 __all__ = [
     "KeySchedule",
-    "SwapRecord",
     "CipherModeError",
     "spiral_swap",
     "chaotic_image",
@@ -89,18 +88,6 @@ class KeySchedule:
             raise ValueError(f"normalization must be a bool, got {self.normalized!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class SwapRecord:
-    """Ordered swaps executed by spiral_swap, with 1-based indices.
-
-    Each entry is (band_id, (ll_row, ll_col), (partner_row, partner_col)).
-    The swapped cells are pairwise disjoint, so replaying the record (in any
-    order) is an involution on the four quadrants.
-    """
-
-    swaps: tuple[tuple[str, tuple[int, int], tuple[int, int]], ...]
 
 
 # Partner bands in rotation: band k takes LL visits k::3 of the spiral.
@@ -172,12 +159,17 @@ def _mask_perm(n: int) -> np.ndarray:
     return perm
 
 
-def spiral_swap(sb: SubBands) -> tuple[SubBands, SwapRecord]:
+def spiral_swap(sb: SubBands) -> tuple[SubBands, tuple]:
     """Exchange LL cells (spiral order) with detail-band cells in rotation.
 
     Partner bands cycle LH -> HL -> HH per visited LL cell; partner
     positions follow per-band stride-3 scans anchored at the published
     swap positions.  Values are permuted into new arrays, never modified.
+
+    Also returns the swaps in order, each as (band_id, (ll_row, ll_col),
+    (partner_row, partner_col)) with 1-based indices.  The swapped cells are
+    pairwise disjoint, so replaying them (in any order) is an involution on
+    the four quadrants.
     """
     n = sb.ll.shape[0]
     if sb.ll.shape != (n, n) or n < MIN_SWAP_SIDE or n % 2:
@@ -196,7 +188,7 @@ def spiral_swap(sb: SubBands) -> tuple[SubBands, SwapRecord]:
         (SWAP_BANDS[i % 3], (r + 1, c + 1), (pr + 1, pc + 1))
         for i, (r, c, pr, pc) in enumerate(zip(*(a.tolist() for a in coords)))
     )
-    return split_subbands(merged), SwapRecord(record)
+    return split_subbands(merged), record
 
 
 def _stage_matrix(p: ChaosParams, side: int, ks: KeySchedule) -> ButterflyMatrix:

@@ -11,19 +11,13 @@ import numpy as np
 
 from cthwave import cipher, metrics, wavelet
 from cthwave.chaos import StreamDegeneracyError
-from cthwave.imageio import GrayImage, PgmError, read_pgm, rescale_to_bytes, write_pgm
-from cthwave.keyfile import KeyFileError, load_key_file
+from cthwave.imageio import GrayImage, read_pgm, rescale_to_bytes, write_pgm
+from cthwave.keyfile import load_key_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-KEYSPACE_INSTANCES = 24  # six control parameters used in four stages
-
-# Pixel pairs per correlation estimate in `analyze`; as in the criterion-7
-# audit, so that sampling noise stays well below its 0.02 bound.
-ANALYZE_PAIRS = 1_000_000
 
 
 class _UsageExit(Exception):
@@ -44,29 +38,33 @@ def _build_parser() -> _Parser:
     p.add_argument("--key", required=True)
     p.add_argument("--levels", type=int, default=2)
     p.add_argument("--out-dir", required=True)
+    p.set_defaults(run=_cmd_transform)
 
     for name in ("encrypt", "decrypt"):
         p = sub.add_parser(name, help=f"{name} an image")
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--key", required=True)
         p.add_argument("--out", required=True)
+        p.set_defaults(run=_cmd_crypt)
 
     p = sub.add_parser("analyze", help="single-image statistics report")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--pairs", type=int, default=ANALYZE_PAIRS,
+    p.add_argument("--pairs", type=int, default=metrics.ANALYZE_PAIRS,
                    help="sampled pixel pairs per correlation estimate "
-                        f"(default {ANALYZE_PAIRS}; 2000 pairs leave sampling "
-                        "noise of about 0.02, the size of the audit bound)")
+                        f"(default {metrics.ANALYZE_PAIRS}; 2000 pairs leave "
+                        "sampling noise of about 0.02, the size of the audit bound)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="also dump the histogram as CSV")
+    p.set_defaults(run=_cmd_analyze)
 
     p = sub.add_parser("diff", help="NPCR / UACI between two images")
     p.add_argument("--a", dest="img_a", required=True)
     p.add_argument("--b", dest="img_b", required=True)
+    p.set_defaults(run=_cmd_diff)
 
     p = sub.add_parser("keyspace", help="key-space size in bits")
     p.add_argument("--precision", type=float, nargs="+", required=True)
-    p.add_argument("--instances", type=int, default=KEYSPACE_INSTANCES)
+    p.set_defaults(run=_cmd_keyspace)
 
     return parser
 
@@ -97,14 +95,11 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_crypt(args: argparse.Namespace, mode: str) -> int:
+def _cmd_crypt(args: argparse.Namespace) -> int:
     img = read_pgm(args.infile)
     ks = load_key_file(args.key)
-    if mode == "encrypt":
-        out = cipher.encrypt(img.pixels, ks)
-    else:
-        out = cipher.decrypt(img.pixels, ks)
-    write_pgm(GrayImage(out), args.out)
+    crypt = cipher.encrypt if args.command == "encrypt" else cipher.decrypt
+    write_pgm(GrayImage(crypt(img.pixels, ks)), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -140,7 +135,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_keyspace(args: argparse.Namespace) -> int:
     print("precision\tkey_space_bits")
     for precision in args.precision:
-        bits = metrics.key_space_bits(precision, args.instances)
+        bits = metrics.key_space_bits(precision, metrics.KEYSPACE_INSTANCES)
         print(f"{precision:g}\t{bits:.4f}")
     return EXIT_OK
 
@@ -149,24 +144,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "transform":
-            return _cmd_transform(args)
-        if args.command in ("encrypt", "decrypt"):
-            return _cmd_crypt(args, args.command)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "diff":
-            return _cmd_diff(args)
-        if args.command == "keyspace":
-            return _cmd_keyspace(args)
-        raise _UsageExit(f"unknown command {args.command!r}")
+        return args.run(args)
     except _UsageExit as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StreamDegeneracyError as exc:
         print(f"numeric degeneracy: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (PgmError, KeyFileError, cipher.CipherModeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # PgmError, KeyFileError, CipherModeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

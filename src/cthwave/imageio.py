@@ -58,8 +58,8 @@ def read_pgm(path: Union[str, Path]) -> GrayImage:
     write_pgm overwrites in place, so a read racing a write may mix bytes.
     """
     data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise PgmError("not a binary PGM (missing P5 magic)")
+    if not re.match(rb"P5(?![^\s#])", data):  # P5, then whitespace or #
+        raise PgmError(f"{path}: not a binary PGM (missing P5 magic)")
     tokens, pos = [], 2
     for _ in range(3):
         m = _HEADER_FIELD.match(data, pos)

@@ -113,7 +113,8 @@ def _build(cls, table: dict, fields: dict, where: str, **given):
 
 
 def load_key_file(path: Union[str, Path]) -> KeySchedule:
-    return parse_key_file(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig drops the byte-order mark some editors put first.
+    return parse_key_file(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def format_key_file(ks: KeySchedule) -> str:

@@ -30,6 +30,13 @@ DIRECTIONS = {
 
 DEFAULT_PAIRS = 2000
 
+# Pixel pairs per correlation estimate in `cthwave analyze`; as in the
+# criterion-7 audit, so that sampling noise stays well below its 0.02 bound.
+# DEFAULT_PAIRS stays 2000: bench/reference.json pins analyze_image's output.
+ANALYZE_PAIRS = 1_000_000
+
+KEYSPACE_INSTANCES = 24  # six control parameters used in four stages
+
 
 class ZeroVarianceError(ArithmeticError):
     """A correlation marginal is constant, so the coefficient is undefined."""

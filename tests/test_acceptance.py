@@ -132,7 +132,7 @@ def test_criterion_6_spiral_swap_involution_and_anchors():
         ("hl", (4, 4), (8, 2)),
         ("hh", (5, 4), (1, 3)),
     ]
-    anchors_ok = list(record.swaps[:3]) == expected
+    anchors_ok = list(record[:3]) == expected
     ok = not bad_involution and anchors_ok
     report(6, ok, f"involution failures at n'={bad_involution or 'none'}, "
                   f"n'=8 anchor swaps {'match' if anchors_ok else 'differ'}")

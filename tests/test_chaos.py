@@ -170,6 +170,21 @@ class TestParams:
         p = ChaosParams(Fraction(1, 2), 3, 4, Decimal("2.5"), np.float32(2.5), 0.4)
         assert (p.x0, p.a1, p.a2) == (0.5, 2.5, 2.5)
 
+    @pytest.mark.parametrize("kind", [np.float16, np.float32, np.longdouble,
+                                      Fraction, Decimal, int])
+    def test_numbers_are_stored_as_floats(self, kind):
+        # 0.25, 2, 2.5 and 0.5 are exact in every kind, but a float32 field
+        # would put float32 arithmetic into the orbit of an equal key.
+        p = ChaosParams(kind(1) / kind(4), 3, 4, kind(2), kind(5) / kind(2),
+                        kind(1) / kind(2))
+        assert p == ChaosParams(0.25, 3, 4, 2.0, 2.5, 0.5)
+        assert [type(v) for v in (p.x0, p.a1, p.a2, p.eps)] == [float] * 4
+
+    def test_decimal_key_builds_a_stream(self):
+        s = LambdaStream(ChaosParams(0.2, 3, 4, 2.0, 2.5, Decimal("0.5")), 8)
+        ref = LambdaStream(ChaosParams(0.2, 3, 4, 2.0, 2.5, 0.5), 8)
+        assert [next(s) for _ in range(16)] == [next(ref) for _ in range(16)]
+
     @pytest.mark.parametrize("name", ["x0", "a1", "a2", "eps"])
     def test_bool_number_rejected(self, name):
         base = dict(x0=0.2, n1=3, n2=4, a1=2.0, a2=2.5, eps=0.4)

@@ -23,6 +23,7 @@ from cthwave.cipher import (
     verify_literal_roundtrip,
     xor_combine,
 )
+from cthwave.keyfile import format_key_file, parse_key_file
 from cthwave.metrics import entropy_normalized, npcr
 from cthwave.wavelet import SubBands, decompose, reconstruct
 
@@ -50,18 +51,18 @@ def all_values(sb):
 class TestSpiralSwap:
     def test_published_anchor_swaps(self):
         _, record = spiral_swap(random_bands(8, 0))
-        assert record.swaps[0] == ("lh", (4, 5), (1, 8))
-        assert record.swaps[1] == ("hl", (4, 4), (8, 2))
-        assert record.swaps[2] == ("hh", (5, 4), (1, 3))
+        assert record[0] == ("lh", (4, 5), (1, 8))
+        assert record[1] == ("hl", (4, 4), (8, 2))
+        assert record[2] == ("hh", (5, 4), (1, 3))
         # the second published triple
-        assert record.swaps[3] == ("lh", (5, 5), (1, 5))
-        assert record.swaps[4] == ("hl", (5, 6), (8, 5))
-        assert record.swaps[5] == ("hh", (4, 6), (1, 6))
+        assert record[3] == ("lh", (5, 5), (1, 5))
+        assert record[4] == ("hl", (5, 6), (8, 5))
+        assert record[5] == ("hh", (4, 6), (1, 6))
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 64])
     def test_record_matches_the_reference_generator(self, n):
         _, record = spiral_swap(random_bands(n, 4))
-        assert record.swaps == _swap_pairs(n)
+        assert record == _swap_pairs(n)
 
     @pytest.mark.parametrize("n", [4, 8, 16, 64])
     def test_involution(self, n):
@@ -80,11 +81,11 @@ class TestSpiralSwap:
     def test_every_ll_cell_swapped_once(self):
         for n in (4, 8, 16):
             _, record = spiral_swap(random_bands(n, 2))
-            ll_cells = [s[1] for s in record.swaps]
+            ll_cells = [s[1] for s in record]
             assert len(ll_cells) == n * n
             assert len(set(ll_cells)) == n * n
             for band in ("lh", "hl", "hh"):
-                partners = [s[2] for s in record.swaps if s[0] == band]
+                partners = [s[2] for s in record if s[0] == band]
                 assert len(partners) == len(set(partners))
 
     def test_small_quadrants_rejected(self):
@@ -97,7 +98,7 @@ class TestSpiralSwap:
         swapped, record = spiral_swap(sb)
         expected = {q: getattr(sb, q).copy() for q in ("ll", "lh", "hl", "hh")}
         ll = expected["ll"]
-        for band, (r, c), (pr, pc) in record.swaps:
+        for band, (r, c), (pr, pc) in record:
             other, a, b = expected[band], (r - 1, c - 1), (pr - 1, pc - 1)
             ll[a], other[b] = other[b], ll[a]
         assert bands_equal(swapped, SubBands(**expected))
@@ -486,6 +487,20 @@ def cold_stage_cache():
     cipher._stage_matrices.cache_clear()
     yield cipher._stage_matrices
     cipher._stage_matrices.cache_clear()
+
+
+def test_float32_key_encrypts_as_its_round_trip(cold_mask_cache, cold_stage_cache):
+    stages = tuple(ChaosParams(np.float32(x0), 3, 4, np.float32(2.0),
+                               np.float32(2.5), np.float32(0.4))
+                   for x0 in (0.2, 0.31, 0.47, 0.59))
+    ks32 = KeySchedule(stages)
+    ks = parse_key_file(format_key_file(ks32))
+    assert ks == ks32
+    m = np.random.default_rng(8).integers(0, 256, (64, 64)).astype(np.uint8)
+    e32 = encrypt(m, ks32)
+    cold_mask_cache.cache_clear()
+    cold_stage_cache.cache_clear()
+    assert np.array_equal(encrypt(m, ks), e32)
 
 
 class TestStageMatrixCache:

@@ -6,7 +6,7 @@ import pytest
 
 from cthwave.chaos import ChaosParams
 from cthwave.cipher import KeySchedule, _stage_matrices
-from cthwave.cli import ANALYZE_PAIRS, _build_parser, main
+from cthwave.cli import _build_parser, main
 from cthwave.imageio import (
     GrayImage,
     PgmError,
@@ -21,6 +21,7 @@ from cthwave.keyfile import (
     load_key_file,
     parse_key_file,
 )
+from cthwave.metrics import ANALYZE_PAIRS
 from cthwave.wavelet import decompose
 
 GOOD_KEY = """\
@@ -109,6 +110,12 @@ class TestPgm:
         with pytest.raises(PgmError):
             read_pgm(path)
 
+    def test_magic_followed_by_a_digit_rejected(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P52 2 255\n" + bytes(4))
+        with pytest.raises(PgmError, match="P5 magic"):
+            read_pgm(path)
+
     def test_wrong_maxval_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
@@ -191,6 +198,11 @@ class TestKeyFile:
 
     def test_load_from_path(self, key_path):
         assert load_key_file(key_path) == parse_key_file(GOOD_KEY)
+
+    def test_load_ignores_a_byte_order_mark(self, key_path, tmp_path):
+        bom = tmp_path / "bom.key"
+        bom.write_bytes(b"\xef\xbb\xbf" + key_path.read_bytes())
+        assert load_key_file(bom) == load_key_file(key_path)
 
     def test_eps_boundary_rejected(self):
         bad = GOOD_KEY.replace("eps = 0.4\n\n[stage 2]", "eps = 1.0\n\n[stage 2]")
@@ -309,6 +321,10 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()[1:]
         bits = [float(line.split("\t")[1]) for line in lines]
         assert bits == sorted(bits) and bits[0] < bits[-1]
+
+    def test_keyspace_takes_no_instance_count(self, capsys):
+        assert main(["keyspace", "--precision", "1e-3", "--instances", "24"]) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_diff_image_with_itself(self, capsys, image_path):
         assert main(["diff", "--a", str(image_path), "--b", str(image_path)]) == 0
