@@ -16,6 +16,7 @@ fixed parameters.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -66,9 +67,9 @@ class ChaosParams:
             v = getattr(self, name)
             if isinstance(v, bool):
                 raise ValueError(f"{name} must be a number, got a bool")
-            # format_key_file writes float(v), which must read back as v.
+            # format_key_file writes float(v), which must read back as v or be NaN.
             try:
-                exact = float(v) == v
+                exact = float(v) == v or v != v
             except (TypeError, ValueError, OverflowError):  # e.g. 10**400
                 exact = False
             if not exact:
@@ -78,10 +79,11 @@ class ChaosParams:
             object.__setattr__(self, name, float(v))
         if not (math.isfinite(self.x0) and self.x0 > 0):
             raise ValueError(f"x0 must be finite and positive, got {self.x0}")
-        for name, n in (("N1", self.n1), ("N2", self.n2)):
-            if not (isinstance(n, int) and 2 <= n <= MAX_DEGREE):
+        for name, v in (("N1", self.n1), ("N2", self.n2)):
+            if (n := _integer(v)) is None or not 2 <= n <= MAX_DEGREE:
                 raise ValueError(f"{name} must be an integer in [2, 2**20], "
-                                 f"got {_shown(n)}")
+                                 f"got {_shown(v)}")
+            object.__setattr__(self, name.lower(), n)
         for name, a in (("a1", self.a1), ("a2", self.a2)):
             # a * a divides in f1 and f2, so it must neither underflow to 0
             # nor overflow to inf (which would make every iterate 0).
@@ -90,6 +92,23 @@ class ChaosParams:
                                  f"nonzero square, got {a}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
+
+
+def _integer(v: object) -> int | None:
+    """v as a Python int (numpy integers too); None for a bool or a non-integer."""
+    try:  # operator.index refuses np.bool_ but not bool
+        return None if isinstance(v, bool) else operator.index(v)
+    except TypeError:
+        return None
+
+
+def nonnegative_int(name: str, v: object) -> int:
+    """v as a Python int; ValueError naming ``name`` unless v is an integer >= 0."""
+    if (n := _integer(v)) is None:
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+    return n
 
 
 def _shown(v: object) -> str:
@@ -147,13 +166,9 @@ class LambdaStream:
     """
 
     def __init__(self, params: ChaosParams, burn_in: int = DEFAULT_BURN_IN):
-        if not isinstance(burn_in, int) or isinstance(burn_in, bool):
-            raise ValueError(f"burn_in must be an integer, got {burn_in!r}")
-        if burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {burn_in}")
         self.params = params
         self.state = params.x0
-        self.orbit(burn_in)
+        self.orbit(nonnegative_int("burn_in", burn_in))
 
     def step(self) -> float:
         """Advance the orbit one iterate and return the new state.
@@ -195,6 +210,7 @@ class LambdaStream:
         MAX_DEGREE) keeps the rounding of pi from moving the k-th pole by
         1e-10 <= tol/10 or more.  For tol < 1e-9 both tests always run.
         """
+        count = nonnegative_int("count", count)
         p = self.params
         n1, n2, a2, eps = float(p.n1), float(p.n2), p.a2, p.eps
         a1a1 = p.a1 * p.a1

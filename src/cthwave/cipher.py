@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cthwave.chaos import DEFAULT_BURN_IN, ChaosParams, LambdaStream
+from cthwave.chaos import DEFAULT_BURN_IN, ChaosParams, LambdaStream, nonnegative_int
 from cthwave.wavelet import (
     ButterflyMatrix,
     SubBands,
@@ -80,10 +80,7 @@ class KeySchedule:
             raise ValueError(
                 f"stages must be a tuple of 4 ChaosParams, got {self.stages!r}"
             )
-        if not isinstance(self.burn_in, int) or isinstance(self.burn_in, bool):
-            raise ValueError(f"burn_in must be an integer, got {self.burn_in!r}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+        object.__setattr__(self, "burn_in", nonnegative_int("burn_in", self.burn_in))
         if not isinstance(self.normalized, bool):
             raise ValueError(f"normalization must be a bool, got {self.normalized!r}")
         if self.mode not in MODES:
@@ -191,20 +188,15 @@ def spiral_swap(sb: SubBands) -> tuple[SubBands, tuple]:
     return split_subbands(merged), record
 
 
-def _stage_matrix(p: ChaosParams, side: int, ks: KeySchedule) -> ButterflyMatrix:
-    """The stage matrix of parameters p at a side under key ks's settings,
-    from the first 2 * side slopes of a fresh stream on p."""
-    return build_level_matrix(
-        side, LambdaStream(p, ks.burn_in).lambdas(2 * side), ks.normalized
-    )
-
-
 @lru_cache(maxsize=MASK_CACHE_SIZE)
 def _stage_matrices(ks: KeySchedule, n: int) -> tuple[ButterflyMatrix, ...]:
-    """The four read-only stage matrices of key ks at side n (sides n, n/2,
-    n/2, n), one per stage."""
+    """The four read-only stage matrices of key ks at side n, one per stage:
+    level 1 (stages 1 and 4) at side n, level 2 (stages 2 and 3) at n/2.
+    Each at side s is built from the first 2s slopes of a fresh stream on
+    its stage's parameters, with ks's burn-in and normalization."""
     sides = (n, n // 2, n // 2, n)
-    return tuple(_stage_matrix(p, s, ks) for p, s in zip(ks.stages, sides))
+    return tuple(build_level_matrix(s, LambdaStream(p, ks.burn_in).lambdas(2 * s),
+                                    ks.normalized) for p, s in zip(ks.stages, sides))
 
 
 def chaotic_image(m: np.ndarray, ks: KeySchedule) -> np.ndarray:

@@ -36,7 +36,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("transform", help="write rescaled sub-band PGMs")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--key", required=True)
-    p.add_argument("--levels", type=int, default=2)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(run=_cmd_transform)
 
@@ -49,11 +48,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="single-image statistics report")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--pairs", type=int, default=metrics.ANALYZE_PAIRS,
-                   help="sampled pixel pairs per correlation estimate "
-                        f"(default {metrics.ANALYZE_PAIRS}; 2000 pairs leave "
-                        "sampling noise of about 0.02, the size of the audit bound)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="also dump the histogram as CSV")
     p.set_defaults(run=_cmd_analyze)
 
@@ -72,21 +66,16 @@ def _build_parser() -> _Parser:
 def _cmd_transform(args: argparse.Namespace) -> int:
     img = read_pgm(args.infile)
     ks = load_key_file(args.key)
-    if not 1 <= args.levels <= 4:
-        raise ValueError(f"levels must be 1..4, got {args.levels}")
     n, side = img.pixels.shape
-    if n != side or n % 2**args.levels:
-        raise ValueError(f"image shape {img.pixels.shape} not divisible into "
-                         f"{args.levels} levels")
-    sides = [n >> k for k in range(args.levels)]
-    matrices = [cipher._stage_matrix(p, s, ks) for p, s in zip(ks.stages, sides)]
-    f = wavelet.decompose(img.pixels, matrices)
+    if n != side or n % 4:
+        raise ValueError(f"image shape {img.pixels.shape} not divisible into 2 levels")
+    f = wavelet.decompose(img.pixels, cipher._stage_matrices(ks, n)[:2])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for level in range(1, args.levels + 1):
-        h = f.shape[0] >> level
+    for level in (1, 2):
+        h = n >> level
         quads = {"LH": f[h:2 * h, :h], "HL": f[:h, h:2 * h], "HH": f[h:2 * h, h:2 * h]}
-        if level == args.levels:
+        if level == 2:
             quads["LL"] = f[:h, :h]
         for name, values in quads.items():
             path = out_dir / f"L{level}_{name}.pgm"
@@ -106,7 +95,7 @@ def _cmd_crypt(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     img = read_pgm(args.infile)
-    report = metrics.analyze_image(img.pixels, n_pairs=args.pairs, seed=args.seed)
+    report = metrics.analyze_image(img.pixels, n_pairs=metrics.ANALYZE_PAIRS)
     print(f"mean_intensity = {report.mean_intensity:.6f}")
     print(f"entropy_normalized = {report.entropy_normalized:.6f}")
     for direction, value in (

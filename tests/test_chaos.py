@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -185,6 +186,36 @@ class TestParams:
         ref = LambdaStream(ChaosParams(0.2, 3, 4, 2.0, 2.5, 0.5), 8)
         assert [next(s) for _ in range(16)] == [next(ref) for _ in range(16)]
 
+    @pytest.mark.parametrize("name, shown", [
+        ("x0", "be finite and positive"),
+        ("a1", "be positive with a finite nonzero square"),
+        ("a2", "be positive with a finite nonzero square"),
+        ("eps", r"lie in \(0, 1\)"),
+    ], ids=["x0", "a1", "a2", "eps"])
+    @pytest.mark.parametrize("nan", [math.nan, np.float32("nan"), Decimal("NaN")],
+                             ids=["float", "float32", "decimal"])
+    def test_nan_refused_by_its_range_check(self, name, shown, nan):
+        # A float holds NaN, so the exactness test is not what refuses it.
+        base = dict(x0=0.2, n1=3, n2=4, a1=2.0, a2=2.5, eps=0.4)
+        with pytest.raises(ValueError, match=f"^{name} must {shown}, got nan$"):
+            ChaosParams(**{**base, name: nan})
+
+    @pytest.mark.parametrize("kind", [np.uint8, np.int32, np.int64])
+    def test_numpy_integer_degrees_are_stored_as_ints(self, kind):
+        p = ChaosParams(0.2, kind(3), kind(4), 2.0, 2.5, 0.4)
+        assert p == ChaosParams(0.2, 3, 4, 2.0, 2.5, 0.4)
+        assert type(p.n1) is int and type(p.n2) is int
+
+    @pytest.mark.parametrize("name", ["N1", "N2"])
+    @pytest.mark.parametrize("n, shown", [
+        (True, "True"), (2.0, "2.0"), ("3", "'3'"), (np.True_, r"np.True_"),
+        (np.float64(3.0), r"np.float64\(3.0\)"),
+    ], ids=["bool", "float", "str", "np-bool", "np-float"])
+    def test_degree_that_is_no_integer_rejected(self, name, n, shown):
+        degrees = (n, 4) if name == "N1" else (3, n)
+        with pytest.raises(ValueError, match=fr"^{name} {DEGREE_RULE}, got {shown}$"):
+            ChaosParams(0.2, *degrees, 2.0, 2.5, 0.4)
+
     @pytest.mark.parametrize("name", ["x0", "a1", "a2", "eps"])
     def test_bool_number_rejected(self, name):
         base = dict(x0=0.2, n1=3, n2=4, a1=2.0, a2=2.5, eps=0.4)
@@ -232,6 +263,33 @@ class TestLambdaStream:
     def test_non_integer_burn_in_rejected(self, burn_in):
         with pytest.raises(ValueError, match="^burn_in must be an integer"):
             LambdaStream(REFERENCE_PARAMS, burn_in=burn_in)
+
+    def test_numpy_integer_burn_in_accepted(self):
+        s = LambdaStream(REFERENCE_PARAMS, burn_in=np.int64(3))
+        assert s.state == LambdaStream(REFERENCE_PARAMS, burn_in=3).state
+        with pytest.raises(ValueError, match="^burn_in must be an integer, got "
+                                             "np.True_$"):
+            LambdaStream(REFERENCE_PARAMS, burn_in=np.True_)
+        with pytest.raises(ValueError, match="^burn_in must be >= 0, got -1$"):
+            LambdaStream(REFERENCE_PARAMS, burn_in=np.int8(-1))
+
+    @pytest.mark.parametrize("method", ["orbit", "lambdas"])
+    @pytest.mark.parametrize("count, message", [
+        (-3, "count must be >= 0, got -3"),
+        (2.0, "count must be an integer, got 2.0"),
+        (True, "count must be an integer, got True"),
+    ], ids=["negative", "float", "bool"])
+    def test_count_that_is_no_count_rejected(self, method, count, message):
+        s = LambdaStream(REFERENCE_PARAMS, burn_in=0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(s, method)(count)
+        assert s.state == REFERENCE_PARAMS.x0
+
+    def test_numpy_integer_count_accepted(self):
+        a = LambdaStream(REFERENCE_PARAMS, burn_in=0)
+        b = LambdaStream(REFERENCE_PARAMS, burn_in=0)
+        assert a.orbit(np.int64(5)) == b.orbit(5)
+        assert a.lambdas(np.uint8(3)).tolist() == b.lambdas(3).tolist()
 
     def test_lambda_range_million_draws(self):
         # 1e6 draws across 20 random parameter sets

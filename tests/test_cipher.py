@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -641,3 +642,22 @@ class TestKeySchedule:
         p = ChaosParams(0.2, 3, 4, 2.0, 2.5, 0.4)
         with pytest.raises(ValueError, match=match):
             KeySchedule(stages=(p, p, p, p), **setting)
+
+    @pytest.mark.parametrize("kind", [np.int16, np.int64, np.uint32])
+    def test_numpy_integer_burn_in_is_stored_as_an_int(self, kind):
+        p = ChaosParams(0.2, 3, 4, 2.0, 2.5, 0.4)
+        ks = KeySchedule(stages=(p,) * 4, burn_in=kind(64))
+        assert type(ks.burn_in) is int
+        assert ks == KeySchedule(stages=(p,) * 4) and parse_key_file(
+            format_key_file(ks)) == ks
+
+    @pytest.mark.parametrize("burn_in, message", [
+        (-1, "burn_in must be >= 0, got -1"),
+        (np.int64(-1), "burn_in must be >= 0, got -1"),
+        (np.True_, "burn_in must be an integer, got np.True_"),
+        (64.0, "burn_in must be an integer, got 64.0"),
+    ], ids=["negative", "np-negative", "np-bool", "float"])
+    def test_refuses_a_burn_in_that_is_no_count(self, burn_in, message):
+        p = ChaosParams(0.2, 3, 4, 2.0, 2.5, 0.4)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KeySchedule(stages=(p,) * 4, burn_in=burn_in)

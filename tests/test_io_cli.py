@@ -6,7 +6,7 @@ import pytest
 
 from cthwave.chaos import ChaosParams
 from cthwave.cipher import KeySchedule, _stage_matrices
-from cthwave.cli import _build_parser, main
+from cthwave.cli import main
 from cthwave.imageio import (
     GrayImage,
     PgmError,
@@ -21,7 +21,7 @@ from cthwave.keyfile import (
     load_key_file,
     parse_key_file,
 )
-from cthwave.metrics import ANALYZE_PAIRS
+from cthwave.metrics import ANALYZE_PAIRS, analyze_image
 from cthwave.wavelet import decompose
 
 GOOD_KEY = """\
@@ -254,6 +254,19 @@ class TestKeyFile:
                                                fr"finite nonzero square"):
             parse_key_file(bad)
 
+    @pytest.mark.parametrize("line, lineno, rule", [
+        ("x0 = 0.2", 6, "must be finite and positive"),
+        ("a1 = 2", 9, "must be positive with a finite nonzero square"),
+        ("a2 = 2.5", 10, "must be positive with a finite nonzero square"),
+        ("eps = 0.4", 11, r"must lie in \(0, 1\)"),
+    ], ids=["x0", "a1", "a2", "eps"])
+    def test_nan_names_its_rule_and_line(self, line, lineno, rule):
+        name = line.split()[0]
+        bad = GOOD_KEY.replace(line, f"{name} = nan", 1)
+        with pytest.raises(KeyFileError, match=fr"^stage 1 \(line {lineno}\): "
+                                               fr"{name} {rule}, got nan$"):
+            parse_key_file(bad)
+
     def test_numpy_floats_survive_the_formatter(self):
         p = ChaosParams(np.float64(0.2), 3, 4, np.float64(2.0), 2.5, 0.4)
         ks = KeySchedule(stages=(p,) * 4)
@@ -355,8 +368,7 @@ class TestCli:
 
     def test_analyze_report(self, capsys, image_path, tmp_path):
         csv = tmp_path / "hist.csv"
-        assert main(["analyze", "--in", str(image_path), "--seed", "3",
-                     "--csv", str(csv)]) == 0
+        assert main(["analyze", "--in", str(image_path), "--csv", str(csv)]) == 0
         out = capsys.readouterr().out
         assert "entropy_normalized = " in out
         assert "corr_horizontal = " in out
@@ -365,7 +377,7 @@ class TestCli:
     def test_transform_writes_subbands(self, tmp_path, image_path, key_path, capsys):
         out_dir = tmp_path / "bands"
         assert main(["transform", "--in", str(image_path), "--key", str(key_path),
-                     "--levels", "2", "--out-dir", str(out_dir)]) == 0
+                     "--out-dir", str(out_dir)]) == 0
         names = sorted(p.name for p in out_dir.glob("*.pgm"))
         assert names == [
             "L1_HH.pgm", "L1_HL.pgm", "L1_LH.pgm",
@@ -375,24 +387,23 @@ class TestCli:
         assert (ll.width, ll.height) == (16, 16)
 
     @pytest.mark.parametrize("normalization", ["raw", "normalized"])
-    @pytest.mark.parametrize("levels", [1, 2])
     def test_transform_writes_the_rescaled_quadrants(self, tmp_path, image_path,
-                                                     levels, normalization, capsys):
+                                                     normalization, capsys):
         key = tmp_path / "k.key"
         key.write_text(GOOD_KEY.replace("normalization = raw",
                                         f"normalization = {normalization}"))
         out_dir = tmp_path / "bands"
         assert main(["transform", "--in", str(image_path), "--key", str(key),
-                     "--levels", str(levels), "--out-dir", str(out_dir)]) == 0
+                     "--out-dir", str(out_dir)]) == 0
         img = read_pgm(image_path).pixels
         n = img.shape[0]
         # Stage 1 at side n, then stage 2 at side n/2.
-        f = decompose(img, _stage_matrices(load_key_file(key), n)[:levels])
-        for level in range(1, levels + 1):
+        f = decompose(img, _stage_matrices(load_key_file(key), n)[:2])
+        for level in (1, 2):
             h = n >> level
             bands = {"LH": f[h:2 * h, :h], "HL": f[:h, h:2 * h],
                      "HH": f[h:2 * h, h:2 * h]}
-            if level == levels:
+            if level == 2:
                 bands["LL"] = f[:h, :h]
             for band, values in bands.items():
                 written = read_pgm(out_dir / f"L{level}_{band}.pgm").pixels
@@ -400,19 +411,20 @@ class TestCli:
 
     def test_transform_refuses_more_levels_than_the_side_allows(
             self, tmp_path, key_path, capsys):
+        # Side 6 has one level: its level-1 quadrants have side 3.
         plain = tmp_path / "p.pgm"
-        write_pgm(GrayImage(synthetic_test_image(8)), plain)
+        write_pgm(GrayImage(synthetic_test_image(6)), plain)
         rc = main(["transform", "--in", str(plain), "--key", str(key_path),
-                   "--levels", "4", "--out-dir", str(tmp_path / "bands")])
+                   "--out-dir", str(tmp_path / "bands")])
         assert rc == 2
-        assert "not divisible into 4 levels" in capsys.readouterr().err
+        assert "not divisible into 2 levels" in capsys.readouterr().err
 
     def test_transform_takes_every_side_decompose_takes(self, tmp_path, key_path,
                                                          capsys):
         plain = tmp_path / "p.pgm"
         write_pgm(GrayImage(synthetic_test_image(12)), plain)
         assert main(["transform", "--in", str(plain), "--key", str(key_path),
-                     "--levels", "2", "--out-dir", str(tmp_path / "bands")]) == 0
+                     "--out-dir", str(tmp_path / "bands")]) == 0
         ll = read_pgm(tmp_path / "bands" / "L2_LL.pgm")
         assert (ll.width, ll.height) == (3, 3)
 
@@ -420,18 +432,33 @@ class TestCli:
         plain = tmp_path / "p.pgm"
         write_pgm(GrayImage(np.zeros((8, 16), np.uint8)), plain)
         rc = main(["transform", "--in", str(plain), "--key", str(key_path),
-                   "--levels", "1", "--out-dir", str(tmp_path / "bands")])
+                   "--out-dir", str(tmp_path / "bands")])
         assert rc == 2
-        assert "not divisible into 1 levels" in capsys.readouterr().err
+        assert "not divisible into 2 levels" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pairs", ["0", "-1"])
-    def test_analyze_refuses_fewer_than_one_pair(self, image_path, capsys, pairs):
-        assert main(["analyze", "--in", str(image_path), "--pairs", pairs]) == 2
-        assert "n_pairs" in capsys.readouterr().err
+    # transform writes the cipher's two levels; analyze reports the audit's
+    # pair count with seed 0.  Neither takes an option to change that.
+    @pytest.mark.parametrize("command, option", [
+        ("transform", ["--levels", "2"]),
+        ("analyze", ["--pairs", "10"]),
+        ("analyze", ["--seed", "3"]),
+    ], ids=["transform-levels", "analyze-pairs", "analyze-seed"])
+    def test_deleted_option_is_a_usage_error(self, tmp_path, image_path, key_path,
+                                             command, option, capsys):
+        args = {"transform": ["--key", str(key_path), "--out-dir", str(tmp_path / "b")],
+                "analyze": []}[command]
+        assert main([command, "--in", str(image_path), *args, *option]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
-    def test_analyze_pairs_default(self):
-        args = _build_parser().parse_args(["analyze", "--in", "x.pgm"])
-        assert args.pairs == ANALYZE_PAIRS == 1_000_000
+    def test_analyze_pairs_default(self, image_path, capsys):
+        assert main(["analyze", "--in", str(image_path)]) == 0
+        report = analyze_image(read_pgm(image_path).pixels, n_pairs=ANALYZE_PAIRS)
+        out = capsys.readouterr().out
+        for direction in ("horizontal", "vertical", "diagonal"):
+            value = getattr(report, f"corr_{direction}")
+            assert f"corr_{direction} = {value:.6f}\n" in out
+        assert ANALYZE_PAIRS == 1_000_000
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["keyspace"]) == 1
