@@ -8,7 +8,7 @@ single-pixel NPCR, flip-image UACI, and the key-space size.
 """
 
 import argparse
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -18,37 +18,37 @@ from cthwave.imageio import read_pgm, synthetic_test_image
 from cthwave.metrics import (
     ANALYZE_PAIRS,
     KEYSPACE_INSTANCES,
-    correlation_adjacent,
-    entropy_normalized,
+    analyze_image,
     key_space_bits,
-    mean_intensity,
     npcr,
     uaci,
 )
-
-# Seed of the correlation estimates' pair sampling.
-PAIR_SEED = 7
 
 DEFAULT_STAGES = tuple(
     ChaosParams(x0, 3, 4, 2.0, 2.5, 0.4) for x0 in (0.2, 0.31, 0.47, 0.59)
 )
 
 
-def battery(plain, ks, n_pairs):
+def statistics(img):
+    rows = asdict(analyze_image(img, n_pairs=ANALYZE_PAIRS))
+    del rows["histogram"]
+    return rows
+
+
+def show(rows):
+    for name, value in rows.items():
+        shown = "undefined" if value is None else f"{value:+.6f}"
+        print(f"  {name:<18} = {shown}")
+
+
+def battery(plain, ks):
     enc = encrypt(plain, ks)
     bumped = plain.copy()
     bumped[plain.shape[0] // 2, plain.shape[1] // 2] ^= 1
     flipped = np.flipud(plain).copy()
-    rows = {
-        "entropy_normalized": entropy_normalized(enc),
-        "mean_intensity": mean_intensity(enc),
-        "npcr_1px_percent": npcr(enc, encrypt(bumped, ks)),
-        "uaci_flip_percent": uaci(enc, encrypt(flipped, ks)),
-    }
-    for d in ("horizontal", "vertical", "diagonal"):
-        rows[f"corr_{d}"] = correlation_adjacent(
-            enc, d, n_pairs=n_pairs, seed=PAIR_SEED
-        )
+    rows = statistics(enc)
+    rows["npcr_1px_percent"] = npcr(enc, encrypt(bumped, ks))
+    rows["uaci_flip_percent"] = uaci(enc, encrypt(flipped, ks))
     return rows
 
 
@@ -57,11 +57,6 @@ def main():
     parser.add_argument("--image", help="plain PGM to analyse (default: synthetic)")
     parser.add_argument("--size", type=int, default=256,
                         help="side of the synthetic test image")
-    parser.add_argument("--pairs", type=int, default=ANALYZE_PAIRS,
-                        help="sampled pixel pairs per correlation estimate "
-                             f"(default {ANALYZE_PAIRS}, as in the criterion-7 audit; "
-                             "20000 pairs leave about 0.007 of sampling noise "
-                             "against the 0.02 bound)")
     args = parser.parse_args()
 
     if args.image:
@@ -70,18 +65,12 @@ def main():
         plain = synthetic_test_image(args.size)
 
     print("plain image:")
-    print(f"  entropy_normalized = {entropy_normalized(plain):.6f}")
-    print(f"  mean_intensity     = {mean_intensity(plain):.4f}")
-    for d in ("horizontal", "vertical", "diagonal"):
-        r = correlation_adjacent(plain, d, n_pairs=args.pairs, seed=PAIR_SEED)
-        print(f"  corr_{d:<10} = {r:+.6f}")
+    show(statistics(plain))
 
     base = KeySchedule(stages=DEFAULT_STAGES, mode="keystream")
     for mode in ("keystream", "literal"):
-        ks = replace(base, mode=mode)
         print(f"\nencrypted ({mode} mode):")
-        for name, value in battery(plain, ks, args.pairs).items():
-            print(f"  {name:<18} = {value:+.6f}")
+        show(battery(plain, replace(base, mode=mode)))
 
     print("\nkey space:")
     for precision in (1e-2, 1e-3, 1e-4):

@@ -122,10 +122,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_keyspace(args: argparse.Namespace) -> int:
-    print("precision\tkey_space_bits")
-    for precision in args.precision:
-        bits = metrics.key_space_bits(precision, metrics.KEYSPACE_INSTANCES)
-        print(f"{precision:g}\t{bits:.4f}")
+    rows = [
+        f"{p:g}\t{metrics.key_space_bits(p, metrics.KEYSPACE_INSTANCES):.4f}"
+        for p in args.precision
+    ]
+    print("\n".join(["precision\tkey_space_bits", *rows]))
     return EXIT_OK
 
 

@@ -30,9 +30,10 @@ DIRECTIONS = {
 
 DEFAULT_PAIRS = 2000
 
-# Pixel pairs per correlation estimate in `cthwave analyze`; as in the
-# criterion-7 audit, so that sampling noise stays well below its 0.02 bound.
-# DEFAULT_PAIRS stays 2000: bench/reference.json pins analyze_image's output.
+# Pixel pairs per correlation in `cthwave analyze`, as in the criterion-7
+# audit: exact for images up to 1000x1000, and sampled above that with noise
+# well below criterion 7's 0.02 bound.  DEFAULT_PAIRS stays 2000:
+# bench/reference.json pins analyze_image's output.
 ANALYZE_PAIRS = 1_000_000
 
 KEYSPACE_INSTANCES = 24  # six control parameters used in four stages
@@ -85,16 +86,14 @@ def entropy_normalized(img: np.ndarray) -> float:
 
 
 def correlation_adjacent(
-    img: np.ndarray,
-    direction: str,
-    n_pairs: int = DEFAULT_PAIRS,
-    seed: int = 0,
+    img: np.ndarray, direction: str, n_pairs: int = DEFAULT_PAIRS
 ) -> float:
-    """Correlation coefficient of randomly sampled adjacent pixel pairs.
+    """Correlation coefficient of adjacent pixel pairs; diagonal is (+1, +1).
 
-    Anchors are drawn uniformly with replacement over all positions with a
-    valid neighbour; diagonal means the (+1, +1) offset.  Uses population
-    (1/N) variance and covariance estimators.
+    Exact over every pair when the image has at most n_pairs of them;
+    otherwise estimated from n_pairs anchors drawn uniformly with replacement
+    by a generator seeded with 0.  Uses population (1/N) variance and
+    covariance estimators.
     """
     img = _as_bytes(img)
     if direction not in DIRECTIONS:
@@ -105,11 +104,13 @@ def correlation_adjacent(
     h, w = img.shape
     if h - dr < 1 or w - dc < 1:
         raise ValueError("image too small to supply adjacent pairs")
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, h - dr, size=n_pairs)
-    cols = rng.integers(0, w - dc, size=n_pairs)
-    x = img[rows, cols].astype(np.float64)
-    y = img[rows + dr, cols + dc].astype(np.float64)
+    x, y = img[: h - dr, : w - dc], img[dr:, dc:]
+    if x.size > n_pairs:
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, h - dr, size=n_pairs)
+        cols = rng.integers(0, w - dc, size=n_pairs)
+        x, y = x[rows, cols], y[rows, cols]
+    x, y = x.astype(np.float64), y.astype(np.float64)
     ex, ey = x.mean(), y.mean()
     dx, dy = x - ex, y - ey
     vx, vy = (dx * dx).mean(), (dy * dy).mean()
@@ -153,14 +154,12 @@ def key_space_bits(precision: float, n_param_instances: int) -> float:
     return n_param_instances * math.log2(1.0 / precision)
 
 
-def analyze_image(
-    img: np.ndarray, n_pairs: int = DEFAULT_PAIRS, seed: int = 0
-) -> MetricsReport:
+def analyze_image(img: np.ndarray, n_pairs: int = DEFAULT_PAIRS) -> MetricsReport:
     """Run the single-image battery; undefined correlations become None."""
     corrs = {}
     for direction in DIRECTIONS:
         try:
-            corrs[direction] = correlation_adjacent(img, direction, n_pairs, seed)
+            corrs[direction] = correlation_adjacent(img, direction, n_pairs)
         except ZeroVarianceError:
             corrs[direction] = None
     return MetricsReport(

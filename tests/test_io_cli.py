@@ -1,5 +1,8 @@
 import os
+import runpy
 import stat
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +338,12 @@ class TestCli:
         bits = [float(line.split("\t")[1]) for line in lines]
         assert bits == sorted(bits) and bits[0] < bits[-1]
 
+    def test_keyspace_bad_precision_prints_nothing(self, capsys):
+        assert main(["keyspace", "--precision", "0.5", "inf"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "precision must lie in (0, 1)" in err
+
     def test_keyspace_takes_no_instance_count(self, capsys):
         assert main(["keyspace", "--precision", "1e-3", "--instances", "24"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -436,8 +445,8 @@ class TestCli:
         assert rc == 2
         assert "not divisible into 2 levels" in capsys.readouterr().err
 
-    # transform writes the cipher's two levels; analyze reports the audit's
-    # pair count with seed 0.  Neither takes an option to change that.
+    # transform writes the cipher's two levels; analyze reports correlations
+    # at the audit's pair count.  Neither takes an option to change that.
     @pytest.mark.parametrize("command, option", [
         ("transform", ["--levels", "2"]),
         ("analyze", ["--pairs", "10"]),
@@ -538,3 +547,14 @@ class TestCli:
         main(["encrypt", "--in", str(image_path), "--key", str(key_path),
               "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_security_script_reports_a_constant_image(tmp_path, monkeypatch, capsys):
+    plain = tmp_path / "flat.pgm"
+    write_pgm(GrayImage(np.full((64, 64), 9, np.uint8)), plain)
+    script = Path(__file__).parents[1] / "scripts" / "run_security_analysis.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--image", str(plain)])
+    runpy.run_path(str(script), run_name="__main__")
+    plain_block = capsys.readouterr().out.split("\n\n")[0]
+    for direction in ("horizontal", "vertical", "diagonal"):
+        assert f"corr_{direction:<13} = undefined" in plain_block

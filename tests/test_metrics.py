@@ -101,32 +101,60 @@ class TestCorrelation:
     def test_perfect_correlation(self):
         img = np.repeat(np.arange(64, dtype=np.uint8)[:, None], 64, axis=1)
         # rows are constant, so horizontal neighbours satisfy y = x
-        r = correlation_adjacent(img, "horizontal", seed=0)
+        r = correlation_adjacent(img, "horizontal")
         assert r == pytest.approx(1.0, abs=1e-12)
 
     def test_natural_image_is_strongly_correlated(self):
         img = synthetic_test_image(256)
-        r = correlation_adjacent(img, "horizontal", n_pairs=2000, seed=1)
+        r = correlation_adjacent(img, "horizontal", n_pairs=2000)
         assert 0.85 <= r <= 0.95
 
     def test_zero_variance_is_distinct_outcome(self):
         with pytest.raises(ZeroVarianceError):
             correlation_adjacent(np.full((16, 16), 9, np.uint8), "vertical")
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_sampled_value_is_deterministic(self):
         rng = np.random.default_rng(2)
         img = rng.integers(0, 256, (64, 64)).astype(np.uint8)
-        a = correlation_adjacent(img, "diagonal", seed=77)
-        b = correlation_adjacent(img, "diagonal", seed=77)
+        a = correlation_adjacent(img, "diagonal")
+        b = correlation_adjacent(img, "diagonal")
         assert a == b
 
-    def test_random_image_mean_abs_small(self):
+    def test_random_image_correlation_small(self):
         rng = np.random.default_rng(3)
         img = rng.integers(0, 256, (256, 256)).astype(np.uint8)
-        rs = [
-            abs(correlation_adjacent(img, "horizontal", seed=s)) for s in range(30)
-        ]
-        assert float(np.mean(rs)) < 0.05
+        sampled = correlation_adjacent(img, "horizontal")
+        exact = correlation_adjacent(img, "horizontal", n_pairs=img.size)
+        assert abs(sampled) < 0.05
+        assert abs(exact) < 0.01
+
+    @pytest.mark.parametrize("shape, direction", [
+        ((16, 16), "horizontal"),
+        ((16, 16), "vertical"),
+        ((16, 16), "diagonal"),
+        ((1, 300), "horizontal"),
+    ], ids=["16x16-h", "16x16-v", "16x16-d", "1x300-h"])
+    def test_every_pair_is_used_within_the_budget(self, shape, direction):
+        img = np.random.default_rng(5).integers(0, 256, shape, dtype=np.uint8)
+        dr, dc = {"horizontal": (0, 1), "vertical": (1, 0), "diagonal": (1, 1)}[direction]
+        h, w = shape
+        x, y = img[: h - dr, : w - dc], img[dr:, dc:]
+        expected = np.corrcoef(x.ravel(), y.ravel())[0, 1]
+        r = correlation_adjacent(img, direction, n_pairs=x.size)
+        assert r == pytest.approx(expected, abs=1e-12)
+
+    def test_sampled_values_are_pinned(self):
+        # Above its 2000-pair budget the estimator draws rows, then columns,
+        # from a generator seeded with 0; the benchmark's reference audit
+        # compares these sampled values with ==.
+        img = synthetic_test_image(512)
+        got = {d: correlation_adjacent(img, d).hex()
+               for d in ("horizontal", "vertical", "diagonal")}
+        assert got == {
+            "horizontal": "0x1.d3e6a04e60e0ep-1",
+            "vertical": "0x1.d3ce7318ca119p-1",
+            "diagonal": "0x1.d6812764ae3e0p-1",
+        }
 
     def test_bad_direction(self):
         with pytest.raises(ValueError):
@@ -209,7 +237,7 @@ class TestReport:
     def test_analyze_smoke(self):
         rng = np.random.default_rng(9)
         img = rng.integers(0, 256, (64, 64)).astype(np.uint8)
-        report = analyze_image(img, seed=5)
+        report = analyze_image(img)
         assert report.histogram.sum() == img.size
         assert 0.0 <= report.entropy_normalized <= 1.0
         assert report.corr_horizontal is not None
