@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -24,6 +26,10 @@ __all__ = [
 # from splitting it into a token.
 _HEADER_FIELD = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
 
+# Windows only: without it os.open gives text mode, which turns \n into
+# \r\n on write and \r\n into \n, stopping at byte 0x1A, on read.
+_O_BINARY = getattr(os, "O_BINARY", 0)
+
 
 class PgmError(ValueError):
     """Malformed or unsupported PGM data."""
@@ -41,6 +47,8 @@ class GrayImage:
             raise ValueError(f"pixels must be 2-D, got shape {px.shape}")
         if px.dtype != np.uint8:
             raise ValueError(f"pixels must be uint8, got {px.dtype}")
+        if 0 in px.shape:
+            raise ValueError(f"pixels must not be empty, got shape {px.shape}")
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -52,12 +60,34 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
+def _read_file(path: Union[str, Path]) -> bytes:
+    """All of a file's bytes in four system calls when it reports its size."""
+    fd = os.open(path, os.O_RDONLY | _O_BINARY)
+    try:
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):  # os.read would not name the file
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        size = st.st_size
+        data = os.read(fd, size) if size else b""
+        if len(data) < size or not size:
+            # Pipes, devices and /proc report size 0, and Linux caps one
+            # read near 2 GiB: read on to end of file.
+            parts, got = [data], len(data)
+            while part := os.read(fd, max(size - got, 1 << 16)):
+                parts.append(part)
+                got += len(part)
+            data = b"".join(parts)
+    finally:
+        os.close(fd)
+    return data
+
+
 def read_pgm(path: Union[str, Path]) -> GrayImage:
     """Read a binary PGM (magic P5, maxval 255); comments permitted.
 
     write_pgm overwrites in place, so a read racing a write may mix bytes.
     """
-    data = Path(path).read_bytes()
+    data = _read_file(path)
     if not re.match(rb"P5(?![^\s#])", data):  # P5, then whitespace or #
         raise PgmError(f"{path}: not a binary PGM (missing P5 magic)")
     tokens, pos = [], 2
@@ -90,14 +120,17 @@ def write_pgm(img: GrayImage, path: Union[str, Path]) -> None:
     first (on ext4 that starts writeback at close).  It is not atomic.
     """
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    # O_BINARY (Windows only) stops text mode turning \n into \r\n.
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(img.pixels))
-        # Devices and pipes report size 0, and truncate() fails on them.
-        if os.fstat(fd).st_size > f.tell():
-            f.truncate()
+    data = b"".join((header, np.ascontiguousarray(img.pixels)))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | _O_BINARY, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # a pipe may take less than asked
+            view = view[os.write(fd, view):]
+        # Devices and pipes report size 0, and ftruncate fails on them.
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def rescale_to_bytes(values: np.ndarray) -> np.ndarray:

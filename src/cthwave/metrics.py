@@ -82,7 +82,7 @@ def entropy_normalized(img: np.ndarray) -> float:
     if n == 0:
         raise ValueError("empty image")
     p = counts[counts > 0] / n
-    return float(-(p * np.log2(p)).sum() / 8.0)
+    return float(-(p * np.log2(p)).sum() / 8.0) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def correlation_adjacent(

@@ -2,7 +2,9 @@ import os
 import runpy
 import stat
 import sys
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -176,6 +178,56 @@ class TestPgm:
         finally:
             os.umask(old)
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="POSIX FIFOs")
+    def test_fifo_roundtrip(self, tmp_path):
+        # A FIFO reports size 0, so read_pgm reads on to end of file; the
+        # 300² image is larger than a pipe's buffer.
+        fifo = tmp_path / "pipe.pgm"
+        os.mkfifo(fifo)
+        rng = np.random.default_rng(2)
+        img = GrayImage(rng.integers(0, 256, (300, 300), dtype=np.uint8))
+        errors = []
+
+        def writer():
+            try:
+                write_pgm(img, fifo)
+            except Exception as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        back = read_pgm(fifo)
+        thread.join(timeout=30)
+        assert not thread.is_alive() and errors == []
+        assert np.array_equal(back.pixels, img.pixels)
+
+    def test_crlf_and_ctrl_z_payload_roundtrip(self, tmp_path):
+        # Text mode would turn \n into \r\n on write and stop at \x1a on read.
+        payload = (b"\r\n\x1a" * 86)[:256]
+        img = GrayImage(np.frombuffer(payload, np.uint8).reshape(16, 16))
+        path = tmp_path / "crlf.pgm"
+        write_pgm(img, path)
+        assert path.read_bytes() == b"P5\n16 16\n255\n" + payload
+        assert read_pgm(path).pixels.tobytes() == payload
+
+    def test_one_read_and_one_write_call(self, tmp_path, monkeypatch):
+        read, write = mock.Mock(wraps=os.read), mock.Mock(wraps=os.write)
+        monkeypatch.setattr(os, "read", read)
+        monkeypatch.setattr(os, "write", write)
+        path = tmp_path / "img.pgm"
+        img = GrayImage(synthetic_test_image(256))
+        write_pgm(img, path)
+        assert (read.call_count, write.call_count) == (0, 1)
+        back = read_pgm(path)
+        assert (read.call_count, write.call_count) == (1, 1)
+        assert np.array_equal(back.pixels, img.pixels)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_empty_image_refused(self, shape):
+        # read_pgm refuses a zero dimension, so write_pgm must never see one.
+        with pytest.raises(ValueError, match="must not be empty"):
+            GrayImage(np.zeros(shape, np.uint8))
 
     def test_rescale(self):
         v = np.array([[0.0, 1.0], [2.0, 3.0]])
@@ -382,6 +434,13 @@ class TestCli:
         assert "entropy_normalized = " in out
         assert "corr_horizontal = " in out
         assert csv.read_text().startswith("level,count")
+
+    def test_analyze_constant_image_prints_unsigned_zero_entropy(self, tmp_path,
+                                                                 capsys):
+        path = tmp_path / "flat.pgm"
+        write_pgm(GrayImage(np.full((64, 64), 9, np.uint8)), path)
+        assert main(["analyze", "--in", str(path)]) == 0
+        assert "entropy_normalized = 0.000000\n" in capsys.readouterr().out
 
     def test_transform_writes_subbands(self, tmp_path, image_path, key_path, capsys):
         out_dir = tmp_path / "bands"

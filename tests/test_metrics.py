@@ -83,6 +83,11 @@ class TestEntropy:
     def test_constant_is_zero(self):
         assert entropy_normalized(np.full((8, 8), 7, np.uint8)) == 0.0
 
+    def test_constant_is_unsigned_zero(self):
+        # -0.0 == 0.0, so only the sign shows a printed "-0.000000".
+        e = entropy_normalized(np.full((8, 8), 7, np.uint8))
+        assert math.copysign(1.0, e) == 1.0
+
     def test_two_equiprobable_values(self):
         img = np.zeros((2, 2), np.uint8)
         img[0] = 200
