@@ -4,7 +4,6 @@ from cthwave.chaos import ChaosParams, LambdaStream, f1, f2, step_coupled
 from cthwave.cipher import KeySchedule, decrypt, encrypt
 from cthwave.wavelet import (
     ButterflyMatrix,
-    SubBands,
     build_level_matrix,
     classic_haar_matrix,
     decompose,
@@ -20,7 +19,6 @@ __all__ = [
     "f2",
     "step_coupled",
     "ButterflyMatrix",
-    "SubBands",
     "classic_haar_matrix",
     "build_level_matrix",
     "forward_2d",

@@ -16,15 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from cthwave.chaos import DEFAULT_BURN_IN, ChaosParams, LambdaStream, nonnegative_int
-from cthwave.wavelet import (
-    ButterflyMatrix,
-    SubBands,
-    build_level_matrix,
-    forward_2d,
-    inverse_2d,
-    merge_subbands,
-    split_subbands,
-)
+from cthwave.wavelet import ButterflyMatrix, build_level_matrix, forward_2d, inverse_2d
+# Unused here; bench/tracer.py wraps them by name in this module.
+from cthwave.wavelet import merge_subbands, split_subbands  # noqa: F401
 
 __all__ = [
     "KeySchedule",
@@ -87,10 +81,6 @@ class KeySchedule:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-# Partner bands in rotation: band k takes LL visits k::3 of the spiral.
-SWAP_BANDS = ("lh", "hl", "hh")
-
-
 def _spiral(n: int) -> tuple[np.ndarray, np.ndarray]:
     """0-based (rows, cols) of every cell of an n x n grid, spiralling outward.
 
@@ -109,16 +99,17 @@ def _spiral(n: int) -> tuple[np.ndarray, np.ndarray]:
     return r[inside], c[inside]
 
 
-def _swap_index(n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the cells one spiral swap exchanges, for quadrant side
-    n of a 2n x 2n sub-band matrix stored with row stride ``stride``: the LL
-    cells in spiral order, and their partners.
+def _swap_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the cells one spiral swap exchanges in a 2n x 2n
+    array of quadrant side n: the LL cells in spiral order, and their
+    partners.
 
-    LL visit i pairs with band SWAP_BANDS[i % 3].  Each band is scanned row
+    LL visits pair with LH, HL, HH in rotation.  Each band is scanned row
     by row with columns moving by 3 from an anchor; after the last row the
     scan restarts with the anchor moved one column toward the interior, so
     its three sweeps cover disjoint column residue classes.
     """
+    stride = 2 * n
     ll_r, ll_c = _spiral(n)
     partner = np.empty_like(ll_r)
     down, up = np.arange(n), np.arange(n - 1, -1, -1)
@@ -141,51 +132,42 @@ def _swap_index(n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     return ll_r * stride + ll_c, partner
 
 
-@lru_cache(maxsize=MASK_CACHE_SIZE)
-def _mask_perm(n: int) -> np.ndarray:
-    """Read-only flat gather index of both spiral swaps of an n x n two-level
-    decomposition: the level-2 swap inside the top-left n/2 x n/2 quadrant,
-    then the level-1 swap.  Each swap exchanges disjoint pairs of entries,
-    which composes it onto the gathers before it."""
-    perm = np.arange(n * n, dtype=np.int32)
-    for q in (n // 4, n // 2):
-        if q >= MIN_SWAP_SIDE:
-            ll, partner = _swap_index(q, n)
-            perm[ll], perm[partner] = perm[partner], perm[ll]
-    perm.flags.writeable = False
-    return perm
-
-
-def spiral_swap(sb: SubBands) -> tuple[SubBands, tuple]:
-    """Exchange LL cells (spiral order) with detail-band cells in rotation.
+def spiral_swap(f: np.ndarray) -> np.ndarray:
+    """One level's spiral swap: a copy of the 2q x 2q array f, any dtype,
+    with its LL cells (spiral order) exchanged with detail-band cells.
 
     Partner bands cycle LH -> HL -> HH per visited LL cell; partner
     positions follow per-band stride-3 scans anchored at the published
-    swap positions.  Values are permuted into new arrays, never modified.
-
-    Also returns the swaps in order, each as (band_id, (ll_row, ll_col),
-    (partner_row, partner_col)) with 1-based indices.  The swapped cells are
-    pairwise disjoint, so replaying them (in any order) is an involution on
-    the four quadrants.
+    swap positions.  The swapped cells are pairwise disjoint, so the swap
+    is an involution.
     """
-    n = sb.ll.shape[0]
-    if sb.ll.shape != (n, n) or n < MIN_SWAP_SIDE or n % 2:
-        raise ValueError(
-            f"spiral swap needs square quadrants with even side >= "
-            f"{MIN_SWAP_SIDE}, got {sb.ll.shape}"
-        )
-    m = 2 * n
-    ll, partner = _swap_index(n, m)
-    merged = merge_subbands(sb)
-    flat = merged.reshape(-1)
+    f = np.asarray(f)
+    m = f.shape[0] if f.ndim == 2 and f.shape[0] == f.shape[1] else 0
+    q = m // 2
+    if m % 4 or q < MIN_SWAP_SIDE:
+        raise ValueError(f"spiral swap needs a square array whose quadrant side is "
+                         f"even and >= {MIN_SWAP_SIDE}, got shape {f.shape}")
+    ll, partner = _swap_index(q)
+    out = f.copy()
+    flat = out.reshape(-1)
     flat[ll], flat[partner] = flat[partner], flat[ll]
-    # A partner's place inside its band is its merged place mod n.
-    coords = (ll // m, ll % m, partner // m % n, partner % m % n)
-    record = tuple(
-        (SWAP_BANDS[i % 3], (r + 1, c + 1), (pr + 1, pc + 1))
-        for i, (r, c, pr, pc) in enumerate(zip(*(a.tolist() for a in coords)))
-    )
-    return split_subbands(merged), record
+    return out
+
+
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def _mask_perm(n: int) -> np.ndarray:
+    """Read-only flat gather index of both spiral swaps of an n x n two-level
+    decomposition: spiral_swap of an int32 arange's top-left n/2 square
+    (level 2), then of all of it (level 1); smaller quadrants stay put."""
+    perm = np.arange(n * n, dtype=np.int32).reshape(n, n)
+    h = n // 2
+    if h // 2 >= MIN_SWAP_SIDE:
+        perm[:h, :h] = spiral_swap(perm[:h, :h])
+    if h >= MIN_SWAP_SIDE:
+        perm = spiral_swap(perm)
+    perm = perm.reshape(-1)
+    perm.flags.writeable = False
+    return perm
 
 
 @lru_cache(maxsize=MASK_CACHE_SIZE)
@@ -323,7 +305,10 @@ def decrypt(e: np.ndarray, ks: KeySchedule) -> np.ndarray:
 
 
 def verify_literal_roundtrip(e: np.ndarray, m: np.ndarray, ks: KeySchedule) -> bool:
-    """Check a literal-mode ciphertext against its known plaintext."""
+    """Check a literal-mode ciphertext against its known plaintext; a
+    keystream key is refused (decrypt inverts its ciphertexts)."""
+    if ks.mode != "literal":
+        raise CipherModeError("verify_literal_roundtrip needs a literal-mode key")
     e = _check_image(e, "ciphertext")
     m = _check_image(m, "plaintext")
     return bool(np.array_equal(xor_combine(e, quantize(chaotic_image(m, ks))), m))

@@ -80,16 +80,19 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         for name, values in quads.items():
             path = out_dir / f"L{level}_{name}.pgm"
             write_pgm(GrayImage(rescale_to_bytes(values)), path)
-            print(f"wrote {path}")
+            print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_crypt(args: argparse.Namespace) -> int:
     img = read_pgm(args.infile)
     ks = load_key_file(args.key)
+    if ks.mode != "keystream":  # refused before --out, which may name --in, is written
+        raise cipher.CipherModeError(f"{args.command} needs a keystream-mode key, "
+                                     f"not a literal-mode one")
     crypt = cipher.encrypt if args.command == "encrypt" else cipher.decrypt
     write_pgm(GrayImage(crypt(img.pixels, ks)), args.out)
-    print(f"wrote {args.out}")
+    print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 
 

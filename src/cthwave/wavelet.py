@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "ButterflyMatrix",
-    "SubBands",
     "phi",
     "psi",
     "classic_haar_matrix",
@@ -213,39 +212,23 @@ def inverse_2d(f: np.ndarray, h: ButterflyMatrix) -> np.ndarray:
     return _synthesis_rows(_synthesis_rows(f, h).T, h).T
 
 
-@dataclass
-class SubBands:
-    """One-level quadrant decomposition (approximation plus three details),
-    the argument type of cipher.spiral_swap."""
-
-    ll: np.ndarray
-    lh: np.ndarray
-    hl: np.ndarray
-    hh: np.ndarray
-
-    def __post_init__(self) -> None:
-        shapes = {b.shape for b in (self.ll, self.lh, self.hl, self.hh)}
-        if len(shapes) != 1:
-            raise ValueError(f"quadrants must share one shape, got {shapes}")
-
-
-def split_subbands(f: np.ndarray) -> SubBands:
-    """Split a transformed matrix into LL / HL / LH / HH quadrants."""
+def split_subbands(f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Copies of the (LL, HL, LH, HH) quadrants of an even square matrix."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 2:
         raise ValueError(f"expected an even square matrix, got shape {f.shape}")
     h = f.shape[0] // 2
-    return SubBands(
-        ll=f[:h, :h].copy(),
-        hl=f[:h, h:].copy(),
-        lh=f[h:, :h].copy(),
-        hh=f[h:, h:].copy(),
-    )
+    return f[:h, :h].copy(), f[:h, h:].copy(), f[h:, :h].copy(), f[h:, h:].copy()
 
 
-def merge_subbands(sb: SubBands) -> np.ndarray:
-    """Exact inverse placement of split_subbands."""
-    return np.block([[sb.ll, sb.hl], [sb.lh, sb.hh]])
+def merge_subbands(bands: Sequence[np.ndarray]) -> np.ndarray:
+    """Exact inverse placement of split_subbands; the quadrants must share
+    one shape."""
+    shapes = [np.shape(b) for b in bands]
+    if len(set(shapes)) != 1:
+        raise ValueError(f"quadrants must share one shape, got {shapes}")
+    ll, hl, lh, hh = bands
+    return np.block([[ll, hl], [lh, hh]])
 
 
 def _pyramid(x: np.ndarray, matrices: Sequence[ButterflyMatrix]) -> np.ndarray:

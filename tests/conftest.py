@@ -155,3 +155,15 @@ def _swap_pairs(n: int) -> tuple[tuple[str, tuple[int, int], tuple[int, int]], .
         pairs.append((band, (r + 1, c + 1), partner))
     return tuple(pairs)
 
+
+def reference_swap_perm(side):
+    """Flat gather index of one spiral swap on a merged side x side matrix,
+    from the per-cell reference pairs."""
+    q = side // 2
+    pairs = _swap_pairs(q)
+    offset = {"lh": q * side, "hl": q, "hh": q * side + q}
+    ll = np.array([(r - 1) * side + c - 1 for _, (r, c), _ in pairs])
+    band = np.array([offset[b] + (r - 1) * side + c - 1 for b, _, (r, c) in pairs])
+    perm = np.arange(side * side)
+    perm[ll], perm[band] = band, ll
+    return perm

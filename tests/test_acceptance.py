@@ -24,7 +24,6 @@ from cthwave.metrics import (
     uaci,
 )
 from cthwave.wavelet import (
-    SubBands,
     build_level_matrix,
     classic_haar_matrix,
     decompose,
@@ -118,22 +117,22 @@ def test_criterion_6_spiral_swap_involution_and_anchors():
     rng = np.random.default_rng(61)
     bad_involution = []
     for n in (4, 8, 16, 64):
-        sb = SubBands(*(rng.standard_normal((n, n)) for _ in range(4)))
-        once, _ = spiral_swap(sb)
-        twice, _ = spiral_swap(once)
-        if not all(
-            np.array_equal(getattr(twice, q), getattr(sb, q))
-            for q in ("ll", "lh", "hl", "hh")
-        ):
+        f = rng.standard_normal((2 * n, 2 * n))
+        if not np.array_equal(spiral_swap(spiral_swap(f)), f):
             bad_involution.append(n)
-    sb8 = SubBands(*(rng.standard_normal((8, 8)) for _ in range(4)))
-    _, record = spiral_swap(sb8)
+    # In a swapped 16 x 16 arange each swapped pair holds the other's index;
+    # published anchors, 1-based (LL cell, partner band origin, partner cell).
+    f = spiral_swap(np.arange(256).reshape(16, 16))
     expected = [
-        ("lh", (4, 5), (1, 8)),
-        ("hl", (4, 4), (8, 2)),
-        ("hh", (5, 4), (1, 3)),
+        ((4, 5), (8, 0), (1, 8)),  # LH
+        ((4, 4), (0, 8), (8, 2)),  # HL
+        ((5, 4), (8, 8), (1, 3)),  # HH
     ]
-    anchors_ok = list(record[:3]) == expected
+    anchors_ok = all(
+        f[r - 1, c - 1] == (r0 + pr - 1) * 16 + c0 + pc - 1
+        and f[r0 + pr - 1, c0 + pc - 1] == (r - 1) * 16 + c - 1
+        for (r, c), (r0, c0), (pr, pc) in expected
+    )
     ok = not bad_involution and anchors_ok
     report(6, ok, f"involution failures at n'={bad_involution or 'none'}, "
                   f"n'=8 anchor swaps {'match' if anchors_ok else 'differ'}")

@@ -32,6 +32,19 @@ def test_coldstart_patch_target_exists():
     assert callable(cipher.spiral_swap)
 
 
+def test_cold_encrypt_builds_its_gather_through_the_patched_swap(
+        default_keystream_key, monkeypatch):
+    calls = []
+    swap = cipher.spiral_swap
+    monkeypatch.setattr(cipher, "spiral_swap", lambda f: calls.append(f.shape) or swap(f))
+    cipher._mask_perm.cache_clear()
+    cipher._keystream_mask.cache_clear()
+    for n, swaps in ((16, 2), (8, 1), (12, 1), (4, 0), (16, 0)):
+        calls.clear()
+        cipher.encrypt(np.zeros((n, n), np.uint8), default_keystream_key)
+        assert len(calls) == swaps, n
+
+
 def test_traced_literal_encrypt_records_each_build_side(default_literal_key):
     tracer = new_tracer()
     m = (np.arange(64) % 256).astype(np.uint8).reshape(8, 8)

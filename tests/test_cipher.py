@@ -26,89 +26,108 @@ from cthwave.cipher import (
 )
 from cthwave.keyfile import format_key_file, parse_key_file
 from cthwave.metrics import entropy_normalized, npcr
-from cthwave.wavelet import SubBands, decompose, reconstruct
+from cthwave.wavelet import decompose, reconstruct
 
-from conftest import _swap_pairs, random_key_schedule
-
-
-def random_bands(n, seed):
-    rng = np.random.default_rng(seed)
-    return SubBands(*(rng.standard_normal((n, n)) for _ in range(4)))
+from conftest import _swap_pairs, random_key_schedule, reference_swap_perm
 
 
-def bands_equal(a, b):
-    return all(
-        np.array_equal(getattr(a, q), getattr(b, q))
-        for q in ("ll", "lh", "hl", "hh")
-    )
+def random_quadrants(q, seed):
+    """A random 2q x 2q float array: four q x q quadrants."""
+    return np.random.default_rng(seed).standard_normal((2 * q, 2 * q))
 
 
-def all_values(sb):
-    return np.sort(
-        np.concatenate([getattr(sb, q).ravel() for q in ("ll", "lh", "hl", "hh")])
-    )
+def swapped_arange(q):
+    """spiral_swap of a 2q x 2q arange: each cell holds the flat index of the
+    cell its value came from."""
+    return spiral_swap(np.arange(4 * q * q).reshape(2 * q, 2 * q))
+
+
+def flat_cell(q, band, r, c):
+    """Flat index in a 2q x 2q array of 1-based cell (r, c) of a quadrant."""
+    r0, c0 = {"ll": (0, 0), "hl": (0, q), "lh": (q, 0), "hh": (q, q)}[band]
+    return (r0 + r - 1) * 2 * q + c0 + c - 1
 
 
 class TestSpiralSwap:
     def test_published_anchor_swaps(self):
-        _, record = spiral_swap(random_bands(8, 0))
-        assert record[0] == ("lh", (4, 5), (1, 8))
-        assert record[1] == ("hl", (4, 4), (8, 2))
-        assert record[2] == ("hh", (5, 4), (1, 3))
-        # the second published triple
-        assert record[3] == ("lh", (5, 5), (1, 5))
-        assert record[4] == ("hl", (5, 6), (8, 5))
-        assert record[5] == ("hh", (4, 6), (1, 6))
+        f = swapped_arange(8).reshape(-1)
+        published = [
+            ("lh", (4, 5), (1, 8)),
+            ("hl", (4, 4), (8, 2)),
+            ("hh", (5, 4), (1, 3)),
+            # the second published triple
+            ("lh", (5, 5), (1, 5)),
+            ("hl", (5, 6), (8, 5)),
+            ("hh", (4, 6), (1, 6)),
+        ]
+        for band, ll, partner in published:
+            a, b = flat_cell(8, "ll", *ll), flat_cell(8, band, *partner)
+            assert (f[a], f[b]) == (b, a)
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 64])
     def test_record_matches_the_reference_generator(self, n):
-        _, record = spiral_swap(random_bands(n, 4))
-        assert record == _swap_pairs(n)
+        # Exactly the pairs conftest's per-cell generator lists are exchanged.
+        perm = swapped_arange(n).reshape(-1)
+        assert np.array_equal(perm, reference_swap_perm(2 * n))
 
     @pytest.mark.parametrize("n", [4, 8, 16, 64])
     def test_involution(self, n):
-        sb = random_bands(n, n)
-        once, _ = spiral_swap(sb)
-        twice, _ = spiral_swap(once)
-        assert bands_equal(twice, sb)
+        f = random_quadrants(n, n)
+        assert np.array_equal(spiral_swap(spiral_swap(f)), f)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_values_permuted_not_modified(self, n):
-        sb = random_bands(n, n + 1)
-        swapped, _ = spiral_swap(sb)
-        assert np.array_equal(all_values(swapped), all_values(sb))
-        assert not bands_equal(swapped, sb)
+        f = random_quadrants(n, n + 1)
+        swapped = spiral_swap(f)
+        assert np.array_equal(np.sort(swapped, axis=None), np.sort(f, axis=None))
+        assert not np.array_equal(swapped, f)
 
     def test_every_ll_cell_swapped_once(self):
         for n in (4, 8, 16):
-            _, record = spiral_swap(random_bands(n, 2))
-            ll_cells = [s[1] for s in record]
-            assert len(ll_cells) == n * n
-            assert len(set(ll_cells)) == n * n
-            for band in ("lh", "hl", "hh"):
-                partners = [s[2] for s in record if s[0] == band]
-                assert len(partners) == len(set(partners))
+            f = swapped_arange(n)
+            assert np.array_equal(np.sort(f, axis=None), np.arange(4 * n * n))
+            # every LL cell now holds a detail cell's value, and only n * n
+            # detail cells moved: each partner serves one LL cell
+            r, c = np.divmod(f[:n, :n], 2 * n)
+            assert np.all((r >= n) | (c >= n))
+            moved = f != np.arange(4 * n * n).reshape(2 * n, 2 * n)
+            assert moved[:n, :n].all() and moved.sum() == 2 * n * n
 
     def test_small_quadrants_rejected(self):
         with pytest.raises(ValueError):
-            spiral_swap(random_bands(2, 0))
+            spiral_swap(random_quadrants(2, 0))
+
+    @pytest.mark.parametrize("shape", [(8, 16), (64,), (9, 9), (10, 10), (0, 0)],
+                             ids=["non-square", "1-d", "odd-side", "odd-quadrant",
+                                  "empty"])
+    def test_refuses_an_array_it_cannot_swap(self, shape):
+        with pytest.raises(ValueError, match="spiral swap needs"):
+            spiral_swap(np.zeros(shape))
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_matches_its_record(self, n):
-        sb = random_bands(n, n + 2)
-        swapped, record = spiral_swap(sb)
-        expected = {q: getattr(sb, q).copy() for q in ("ll", "lh", "hl", "hh")}
-        ll = expected["ll"]
-        for band, (r, c), (pr, pc) in record:
-            other, a, b = expected[band], (r - 1, c - 1), (pr - 1, pc - 1)
-            ll[a], other[b] = other[b], ll[a]
-        assert bands_equal(swapped, SubBands(**expected))
+        # Replaying the reference record cell by cell gives the same array.
+        f = random_quadrants(n, n + 2)
+        expected = f.copy().reshape(-1)
+        for band, ll, partner in _swap_pairs(n):
+            a, b = flat_cell(n, "ll", *ll), flat_cell(n, band, *partner)
+            expected[a], expected[b] = expected[b], expected[a]
+        assert np.array_equal(spiral_swap(f).reshape(-1), expected)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float64, np.complex128])
+    def test_keeps_the_dtype(self, dtype):
+        f = np.arange(256).reshape(16, 16).astype(dtype)
+        swapped = spiral_swap(f)
+        assert swapped.dtype == dtype
+        assert np.array_equal(swapped, swapped_arange(8).astype(dtype))
 
     def test_leaves_input_unchanged(self):
-        sb = random_bands(8, 3)
-        before = SubBands(*(getattr(sb, q).copy() for q in ("ll", "lh", "hl", "hh")))
-        spiral_swap(sb)
-        assert bands_equal(sb, before)
+        whole = random_quadrants(16, 3)
+        for f in (whole, whole[:16, :16]):  # a strided view too
+            before = f.copy()
+            swapped = spiral_swap(f)
+            assert np.array_equal(f, before)
+            assert not np.shares_memory(swapped, f)
 
 
 class TestQuantize:
@@ -322,6 +341,12 @@ class TestEncryptDecrypt:
     def test_literal_mode_decrypt_refused(self, default_literal_key):
         with pytest.raises(CipherModeError):
             decrypt(np.zeros((16, 16), np.uint8), default_literal_key)
+
+    def test_keystream_mode_literal_verify_refused(self, default_keystream_key):
+        m = np.zeros((16, 16), np.uint8)
+        with pytest.raises(CipherModeError, match="literal-mode key"):
+            verify_literal_roundtrip(encrypt(m, default_keystream_key), m,
+                                     default_keystream_key)
 
     def test_zero_ciphertext_decrypts_to_mask(self, default_keystream_key):
         ks = default_keystream_key
@@ -545,19 +570,6 @@ class TestStageMatrixCache:
         assert self.differing_stages(cold_stage_cache, default_literal_key, other) == [k]
 
 
-def reference_swap_perm(side):
-    """Flat gather index of one spiral swap on a merged side x side matrix,
-    from the per-cell reference pairs."""
-    q = side // 2
-    pairs = _swap_pairs(q)
-    offset = {"lh": q * side, "hl": q, "hh": q * side + q}
-    ll = np.array([(r - 1) * side + c - 1 for _, (r, c), _ in pairs])
-    band = np.array([offset[b] + (r - 1) * side + c - 1 for b, _, (r, c) in pairs])
-    perm = np.arange(side * side)
-    perm[ll], perm[band] = band, ll
-    return perm
-
-
 def reference_mask_perm(n):
     """The level-2 swap on the top-left n/2 quadrant, then the level-1 swap,
     composed from the per-cell reference pairs."""
@@ -601,14 +613,24 @@ class TestMaskPerm:
     def test_literal_encrypt_makes_no_sub_band_round_trips(
         self, default_literal_key, monkeypatch
     ):
-        names = ("spiral_swap", "split_subbands", "merge_subbands")
+        names = ("split_subbands", "merge_subbands")
         calls = {name: count_calls(monkeypatch, name) for name in names}
         m = (np.arange(32 * 32) % 256).astype(np.uint8).reshape(32, 32)
+        cipher._mask_perm.cache_clear()
+        encrypt(m, default_literal_key)  # cold: builds the gather
         encrypt(m, default_literal_key)
         assert all(len(c) == 0 for c in calls.values())
-        # the counters do see these names when spiral_swap runs
-        cipher.spiral_swap(random_bands(8, 0))
+        # the counters do see these names when they run
+        cipher.merge_subbands(cipher.split_subbands(np.zeros((8, 8))))
         assert all(len(c) == 1 for c in calls.values())
+
+    def test_warm_encrypt_makes_no_swap(self, default_literal_key, monkeypatch):
+        m = (np.arange(32 * 32) % 256).astype(np.uint8).reshape(32, 32)
+        encrypt(m, default_literal_key)
+        names = ("spiral_swap", "split_subbands", "merge_subbands")
+        calls = {name: count_calls(monkeypatch, name) for name in names}
+        encrypt(m, default_literal_key)
+        assert all(len(c) == 0 for c in calls.values())
 
 
 class TestKeySchedule:

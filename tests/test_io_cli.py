@@ -1,6 +1,7 @@
 import os
 import runpy
 import stat
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -418,6 +419,41 @@ class TestCli:
     def test_encrypt_to_devnull(self, image_path, key_path):
         assert main(["encrypt", "--in", str(image_path), "--key", str(key_path),
                      "--out", os.devnull]) == 0
+
+    def test_encrypt_refuses_literal_mode_before_writing(self, tmp_path, image_path,
+                                                         capsys):
+        key = tmp_path / "literal.key"
+        key.write_text(GOOD_KEY.replace("mode = keystream", "mode = literal"))
+        before = image_path.read_bytes()
+        rc = main(["encrypt", "--in", str(image_path), "--key", str(key),
+                   "--out", str(image_path)])
+        assert rc == 2
+        assert image_path.read_bytes() == before
+        out, err = capsys.readouterr()
+        assert out == "" and "literal-mode" in err
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt", "transform"])
+    def test_status_lines_go_to_stderr(self, tmp_path, image_path, key_path,
+                                       command, capsys):
+        out = ["--out-dir", str(tmp_path / "b")] if command == "transform" else [
+            "--out", str(tmp_path / "o.pgm")]
+        assert main([command, "--in", str(image_path), "--key", str(key_path),
+                     *out]) == 0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("wrote ")
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs /dev/stdout")
+    def test_encrypt_to_stdout_writes_only_the_pgm(self, tmp_path, image_path,
+                                                   key_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        args = [sys.executable, "-m", "cthwave.cli", "encrypt", "--in", str(image_path),
+                "--key", str(key_path), "--out"]
+        to_file = tmp_path / "e.pgm"
+        subprocess.run([*args, str(to_file)], env=env, check=True, capture_output=True)
+        piped = subprocess.run([*args, "/dev/stdout"], env=env, check=True,
+                               capture_output=True)
+        assert piped.stdout == to_file.read_bytes()
 
     def test_decrypt_refuses_literal_mode(self, tmp_path, image_path, capsys):
         key = tmp_path / "literal.key"

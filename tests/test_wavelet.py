@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cthwave.chaos import LambdaStream
 from cthwave.wavelet import (
     ButterflyMatrix,
-    SubBands,
     build_level_matrix,
     classic_haar_matrix,
     decompose,
@@ -328,18 +327,18 @@ class TestSubBands:
                 [np.full((2, 2), 3.0), np.full((2, 2), 4.0)],
             ]
         )
-        sb = split_subbands(f)
-        assert np.all(sb.ll == 1.0) and np.all(sb.hl == 2.0)
-        assert np.all(sb.lh == 3.0) and np.all(sb.hh == 4.0)
+        ll, hl, lh, hh = split_subbands(f)
+        assert np.all(ll == 1.0) and np.all(hl == 2.0)
+        assert np.all(lh == 3.0) and np.all(hh == 4.0)
 
     def test_quadrant_dimensions(self):
-        sb = split_subbands(np.zeros((256, 256)))
-        assert sb.ll.shape == (128, 128)
+        ll, *_ = split_subbands(np.zeros((256, 256)))
+        assert ll.shape == (128, 128)
 
     def test_mismatched_quadrants_rejected(self):
         with pytest.raises(ValueError):
-            SubBands(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
-                     np.zeros((4, 4)))
+            merge_subbands((np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
+                            np.zeros((4, 4))))
 
 
 class TestMultilevel:
