@@ -45,8 +45,9 @@ KEYSTREAM_BURN_OFFSET = 1000
 
 MODES = ("literal", "keystream")
 
-# Keystream masks and stage matrices kept per (key, side), and swap gathers
-# per side, each read-only.
+# Entries in each of the process's four caches: keystream masks and stage
+# matrices per (key, side) and swap gathers per side, each read-only, and
+# parsed keys per key-file text (keyfile.parse_key_file).
 # Keep it below 32: the bench self-test replays 32 keys and needs each to miss.
 MASK_CACHE_SIZE = 8
 

@@ -11,11 +11,12 @@ settings included; a missing block or stage parameter is named instead.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from pathlib import Path
 from typing import Union
 
 from cthwave.chaos import ChaosParams
-from cthwave.cipher import KeySchedule
+from cthwave.cipher import MASK_CACHE_SIZE, KeySchedule
 
 __all__ = ["KeyFileError", "parse_key_file", "load_key_file", "format_key_file"]
 
@@ -53,8 +54,14 @@ def _fail(lineno: int, msg: str) -> None:
     raise KeyFileError(f"line {lineno}: {msg}")
 
 
+@lru_cache(maxsize=MASK_CACHE_SIZE)
 def parse_key_file(text: str) -> KeySchedule:
-    """Parse and fully validate a key file."""
+    """Parse and fully validate a key file.
+
+    The last MASK_CACHE_SIZE texts parsed are kept, so equal texts share
+    one immutable KeySchedule.  Errors are not cached: a refused text is
+    parsed again and raises again on every call.
+    """
     # Section (0 for the globals, else the stage) -> name -> (value, line).
     sections: dict[int, dict[str, tuple[object, int]]] = {0: {}}
     current = 0
@@ -86,6 +93,9 @@ def parse_key_file(text: str) -> KeySchedule:
                   else f"duplicate global key {name!r}")
         _, parse, accepts = table[name]
         try:
+            # int() and float() also take "_" digit groups and non-ASCII digits.
+            if parse in (int, float) and (not value.isascii() or "_" in value):
+                raise ValueError(value)
             fields[name] = (parse(value), lineno)
         except (ValueError, KeyError):
             _fail(lineno, f"{name} must be {accepts}, got {value!r}")

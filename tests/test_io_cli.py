@@ -10,8 +10,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from cthwave import keyfile
 from cthwave.chaos import ChaosParams
-from cthwave.cipher import KeySchedule, _stage_matrices
+from cthwave.cipher import (
+    MASK_CACHE_SIZE,
+    KeySchedule,
+    _stage_matrices,
+    decrypt,
+    encrypt,
+)
 from cthwave.cli import main
 from cthwave.imageio import (
     GrayImage,
@@ -74,6 +81,13 @@ def key_path(tmp_path):
     path = tmp_path / "test.key"
     path.write_text(GOOD_KEY)
     return path
+
+
+@pytest.fixture
+def cold_key_cache():
+    parse_key_file.cache_clear()
+    yield parse_key_file
+    parse_key_file.cache_clear()
 
 
 @pytest.fixture
@@ -259,6 +273,65 @@ class TestKeyFile:
         bom = tmp_path / "bom.key"
         bom.write_bytes(b"\xef\xbb\xbf" + key_path.read_bytes())
         assert load_key_file(bom) == load_key_file(key_path)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["crlf", "bom-crlf"])
+    def test_crlf_key_file_loads_as_its_lf_copy(self, bom, tmp_path):
+        path = tmp_path / "crlf.key"
+        path.write_bytes(bom + GOOD_KEY.replace("\n", "\r\n").encode())
+        assert load_key_file(path) == parse_key_file(GOOD_KEY)
+
+    def test_equal_texts_share_one_schedule(self, cold_key_cache):
+        copy = GOOD_KEY[:10] + GOOD_KEY[10:]
+        assert copy is not GOOD_KEY
+        assert parse_key_file(copy) is parse_key_file(GOOD_KEY)
+
+    def test_refused_text_raises_on_every_call(self, cold_key_cache):
+        bad = "bogus = 1\n" + GOOD_KEY
+        for _ in range(2):
+            with pytest.raises(KeyFileError, match="^line 1: unknown global key"):
+                parse_key_file(bad)
+        assert cold_key_cache.cache_info().currsize == 0
+
+    def test_cache_holds_as_many_texts_as_the_mask_cache(self):
+        assert parse_key_file.cache_info().maxsize == MASK_CACHE_SIZE
+
+    def test_rewritten_key_file_loads_its_new_key(self, cold_key_cache, key_path):
+        old = load_key_file(key_path)
+        key_path.write_text(GOOD_KEY.replace("x0 = 0.2", "x0 = 0.25", 1))
+        new = load_key_file(key_path)
+        assert new.stages[0].x0 == 0.25 and new.stages[1:] == old.stages[1:]
+
+    def test_decrypt_under_a_parsed_text_builds_no_parameters(
+        self, cold_key_cache, monkeypatch
+    ):
+        m = np.arange(64, dtype=np.uint8).reshape(8, 8)
+        e = encrypt(m, parse_key_file(GOOD_KEY))
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(kwargs)
+            return ChaosParams(*args, **kwargs)
+
+        monkeypatch.setattr(keyfile, "ChaosParams", counted)
+        assert np.array_equal(decrypt(e, parse_key_file(GOOD_KEY)), m)
+        assert built == []
+        parse_key_file(GOOD_KEY + "\n")
+        assert len(built) == 4
+
+    @pytest.mark.parametrize("line, bad", [
+        ("N1 = 3", "N1 = 0_3"),
+        ("N1 = 3", "N1 = \u0663"),
+        ("burn_in = 16", "burn_in = 1_6"),
+        ("x0 = 0.2", "x0 = 0.2_0"),
+        ("eps = 0.4", "eps = \uff10.\uff14"),
+    ], ids=["underscore-int", "arabic-indic-digit", "underscore-burn-in",
+            "underscore-float", "fullwidth-float"])
+    def test_numbers_are_plain_ascii(self, line, bad):
+        name = line.split()[0]
+        lineno = GOOD_KEY.splitlines().index(line) + 1
+        with pytest.raises(KeyFileError, match=fr"^line {lineno}: {name} must be "
+                                               r"(an integer|a number), got '"):
+            parse_key_file(GOOD_KEY.replace(line, bad, 1))
 
     def test_eps_boundary_rejected(self):
         bad = GOOD_KEY.replace("eps = 0.4\n\n[stage 2]", "eps = 1.0\n\n[stage 2]")
