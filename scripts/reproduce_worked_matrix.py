@@ -5,8 +5,8 @@ Feeds the published sequence of twelve slope values through the two-stage
 (raw-normalization) construction and prints the composed matrix next to
 the expected one, along with the worst entry deviation.  The slopes and the
 expected matrix are the reference data of the test suite
-(tests/conftest.py).  Exits 1 when the deviation exceeds acceptance
-criterion 1's tolerance.
+(tests/reference.py); the script needs numpy and nothing else.  Exits 1
+when the deviation exceeds acceptance criterion 1's tolerance.
 
 Run from the repository root: PYTHONPATH=src python scripts/reproduce_worked_matrix.py
 """
@@ -20,7 +20,7 @@ import numpy as np
 from cthwave.wavelet import build_level_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import REFERENCE_LAMBDAS, REFERENCE_MATRIX  # noqa: E402
+from reference import REFERENCE_LAMBDAS, REFERENCE_MATRIX  # noqa: E402
 
 # Largest entry deviation criterion 1 accepts (the matrix is printed to
 # three decimal places).

@@ -17,7 +17,6 @@ from cthwave.cipher import KeySchedule, encrypt
 from cthwave.imageio import read_pgm, synthetic_test_image
 from cthwave.metrics import (
     ANALYZE_PAIRS,
-    KEYSPACE_INSTANCES,
     analyze_image,
     key_space_bits,
     npcr,
@@ -74,7 +73,7 @@ def main():
 
     print("\nkey space:")
     for precision in (1e-2, 1e-3, 1e-4):
-        bits = key_space_bits(precision, KEYSPACE_INSTANCES)
+        bits = key_space_bits(precision)
         print(f"  precision {precision:g}: {bits:.2f} bits")
 
 

@@ -125,10 +125,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_keyspace(args: argparse.Namespace) -> int:
-    rows = [
-        f"{p:g}\t{metrics.key_space_bits(p, metrics.KEYSPACE_INSTANCES):.4f}"
-        for p in args.precision
-    ]
+    rows = [f"{p:g}\t{metrics.key_space_bits(p):.4f}" for p in args.precision]
     print("\n".join(["precision\tkey_space_bits", *rows]))
     return EXIT_OK
 

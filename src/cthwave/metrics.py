@@ -141,17 +141,15 @@ def uaci(c1: np.ndarray, c2: np.ndarray) -> float:
     return float(diff.mean(dtype=np.float64) / 255.0 * 100.0)
 
 
-def key_space_bits(precision: float, n_param_instances: int) -> float:
+def key_space_bits(precision: float) -> float:
     """Brute-force resistance in bits for parameters known to a precision.
 
-    Each of the n_param_instances real parameters contributes
-    log2(1/precision) distinguishable values.
+    Each of the KEYSPACE_INSTANCES real parameters contributes
+    log2(1/precision) bits.
     """
     if not 0.0 < precision < 1.0:
         raise ValueError(f"precision must lie in (0, 1), got {precision}")
-    if n_param_instances < 1:
-        raise ValueError("need at least one parameter instance")
-    return n_param_instances * math.log2(1.0 / precision)
+    return KEYSPACE_INSTANCES * math.log2(1.0 / precision)
 
 
 def analyze_image(img: np.ndarray, n_pairs: int = DEFAULT_PAIRS) -> MetricsReport:

@@ -9,9 +9,8 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from cthwave.cipher import KeySchedule, decrypt, encrypt, spiral_swap
+from cthwave.cipher import decrypt, encrypt, spiral_swap
 from cthwave.cli import main
 from cthwave.imageio import synthetic_test_image
 from cthwave.metrics import (
@@ -214,7 +213,7 @@ def test_criterion_7_statistical_battery(default_keystream_key,
 
 
 def test_criterion_8_key_space(capsys):
-    bits = key_space_bits(1e-3, 24)
+    bits = key_space_bits(1e-3)
     near = abs(bits - 239.2) < 0.1
     assert main(["keyspace", "--precision", "1e-2", "1e-3", "1e-4", "1e-5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()[1:]

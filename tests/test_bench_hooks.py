@@ -28,10 +28,6 @@ def test_tracer_installs_and_restores():
     assert cipher.encrypt is encrypt
 
 
-def test_coldstart_patch_target_exists():
-    assert callable(cipher.spiral_swap)
-
-
 def test_cold_encrypt_builds_its_gather_through_the_patched_swap(
         default_keystream_key, monkeypatch):
     calls = []

