@@ -65,8 +65,9 @@ class TestSpiralSwap:
             assert (f[a], f[b]) == (b, a)
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 64])
-    def test_matches_the_reference_generator(self, n):
-        # Exactly the pairs conftest's per-cell generator lists are exchanged.
+    def test_record_matches_the_reference_generator(self, n):
+        # Exactly the pairs conftest's per-cell generator lists are exchanged
+        # (the name predates the deletion of the swap record).
         perm = swapped_arange(n).reshape(-1)
         assert np.array_equal(perm, reference_swap_perm(2 * n))
 
