@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full statistics battery on an encrypted test image.
 
-Encrypts a synthetic natural-looking image (or a PGM supplied on the
+Encrypts a 256x256 synthetic natural-looking image (or a PGM supplied on the
 command line) in both cipher modes and reports histogram uniformity,
 normalized entropy, adjacent-pixel correlation, mean intensity,
 single-pixel NPCR, flip-image UACI, and the key-space size.
@@ -54,14 +54,9 @@ def battery(plain, ks):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--image", help="plain PGM to analyse (default: synthetic)")
-    parser.add_argument("--size", type=int, default=256,
-                        help="side of the synthetic test image")
     args = parser.parse_args()
 
-    if args.image:
-        plain = read_pgm(args.image).pixels
-    else:
-        plain = synthetic_test_image(args.size)
+    plain = read_pgm(args.image).pixels if args.image else synthetic_test_image()
 
     print("plain image:")
     show(statistics(plain))

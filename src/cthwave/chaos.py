@@ -38,6 +38,9 @@ __all__ = [
 POLE_TOL = 1e-9
 
 DEFAULT_BURN_IN = 64
+# Largest burn-in a KeySchedule takes; each of a key's five streams runs it.
+# LambdaStream has no ceiling: the keystream's stream runs 1000 steps more.
+MAX_BURN_IN = 2**20
 
 MAX_DEGREE = 2**20  # largest N1, N2: LambdaStream.orbit's pole band holds
 _HALF_PI = math.pi / 2.0

@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from cthwave.chaos import DEFAULT_BURN_IN, ChaosParams, LambdaStream, nonnegative_int
+from cthwave.chaos import (DEFAULT_BURN_IN, MAX_BURN_IN, ChaosParams, LambdaStream,
+                           _shown, nonnegative_int)
 from cthwave.wavelet import ButterflyMatrix, build_level_matrix, forward_2d, inverse_2d
 # Unused here; bench/tracer.py wraps them by name in this module.
 from cthwave.wavelet import merge_subbands, split_subbands  # noqa: F401
@@ -76,6 +77,8 @@ class KeySchedule:
                 f"stages must be a tuple of 4 ChaosParams, got {self.stages!r}"
             )
         object.__setattr__(self, "burn_in", nonnegative_int("burn_in", self.burn_in))
+        if self.burn_in > MAX_BURN_IN:
+            raise ValueError(f"burn_in must be <= 2**20, got {_shown(self.burn_in)}")
         if not isinstance(self.normalized, bool):
             raise ValueError(f"normalization must be a bool, got {self.normalized!r}")
         if self.mode not in MODES:

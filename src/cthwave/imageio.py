@@ -51,14 +51,6 @@ class GrayImage:
             raise ValueError(f"pixels must not be empty, got shape {px.shape}")
         object.__setattr__(self, "pixels", px)
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
 
 def _read_file(path: Union[str, Path]) -> bytes:
     """All of a file's bytes in four system calls when it reports its size."""
@@ -119,7 +111,8 @@ def write_pgm(img: GrayImage, path: Union[str, Path]) -> None:
     An old file is overwritten in place and trimmed if longer, never emptied
     first (on ext4 that starts writeback at close).  It is not atomic.
     """
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+    height, width = img.pixels.shape
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
     data = b"".join((header, np.ascontiguousarray(img.pixels)))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | _O_BINARY, 0o666)
     try:

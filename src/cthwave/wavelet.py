@@ -94,13 +94,7 @@ def classic_haar_matrix(n: int) -> np.ndarray:
     """
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
-    return _classic_entries(n)
-
-
-def _classic_entries(n: int) -> np.ndarray:
-    if n == 1:
-        return np.eye(1)
-    top = np.kron(_classic_entries(n // 2), [1.0, 1.0])
+    top = np.kron(classic_haar_matrix(n // 2), [1.0, 1.0]) if n > 2 else np.ones((1, 2))
     bottom = np.kron(np.eye(n // 2), [1.0, -1.0])
     return _INV_SQRT2 * np.vstack([top, bottom])
 

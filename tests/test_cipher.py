@@ -621,7 +621,9 @@ class TestKeySchedule:
         (np.int64(-1), "burn_in must be >= 0, got -1"),
         (np.True_, "burn_in must be an integer, got np.True_"),
         (64.0, "burn_in must be an integer, got 64.0"),
-    ], ids=["negative", "np-negative", "np-bool", "float"])
+        (2**20 + 1, "burn_in must be <= 2**20, got 1048577"),
+        (10**400, "burn_in must be <= 2**20, got an integer of over 20 digits"),
+    ], ids=["negative", "np-negative", "np-bool", "float", "2**20+1", "10**400"])
     def test_refuses_a_burn_in_that_is_no_count(self, burn_in, message):
         p = ChaosParams(0.2, 3, 4, 2.0, 2.5, 0.4)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

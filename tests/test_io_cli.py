@@ -1,4 +1,6 @@
+import errno
 import os
+import re
 import runpy
 import stat
 import subprocess
@@ -120,13 +122,13 @@ class TestPgm:
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n8 8\n255\n" + bytes(range(64)))
         img = read_pgm(path)
-        assert img.width == 8 and img.pixels[7, 7] == 63
+        assert img.pixels.shape == (8, 8) and img.pixels[7, 7] == 63
 
     def test_comments_permitted(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n4 2 # inline\n255\n" + bytes(8))
         img = read_pgm(path)
-        assert (img.width, img.height) == (4, 2)
+        assert img.pixels.shape == (2, 4)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
@@ -248,6 +250,33 @@ class TestPgm:
         with pytest.raises(ValueError, match="must not be empty"):
             GrayImage(np.zeros(shape, np.uint8))
 
+    @pytest.mark.parametrize("pixels, message", [
+        (np.zeros(4, np.uint8), "pixels must be 2-D, got shape (4,)"),
+        (np.zeros((2, 2), np.int16), "pixels must be uint8, got int16"),
+    ], ids=["1-D", "int16"])
+    def test_refuses_pixels_it_cannot_write(self, pixels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GrayImage(pixels)
+
+    # {path} is the file read_pgm was given.
+    @pytest.mark.parametrize("data, error, message", [
+        (b"P5\n4 four\n255\n" + bytes(16), PgmError,
+         "{path}: non-numeric PGM header field"),
+        (b"P5\n0 4\n255\n", PgmError, "{path}: bad dimensions 0x4"),
+        pytest.param(None, IsADirectoryError,
+                     f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {{path!r}}",
+                     marks=pytest.mark.skipif(
+                         os.name == "nt", reason="Windows cannot open a directory")),
+    ], ids=["non-numeric", "zero-width", "directory"])
+    def test_refused_file_names_its_fault(self, tmp_path, data, error, message):
+        path = tmp_path / "bad.pgm"
+        if data is None:
+            path.mkdir()
+        else:
+            path.write_bytes(data)
+        with pytest.raises(error, match=f"^{re.escape(message.format(path=str(path)))}$"):
+            read_pgm(path)
+
     def test_rescale(self):
         v = np.array([[0.0, 1.0], [2.0, 3.0]])
         out = rescale_to_bytes(v)
@@ -292,7 +321,7 @@ class TestKeyFile:
     def test_refused_text_raises_on_every_call(self, cold_key_cache):
         bad = "bogus = 1\n" + GOOD_KEY
         for _ in range(2):
-            with pytest.raises(KeyFileError, match="^line 1: unknown global key"):
+            with pytest.raises(KeyFileError, match="^line 1: unknown global key 'bogus'$"):
                 parse_key_file(bad)
         assert cold_key_cache.cache_info().currsize == 0
 
@@ -337,20 +366,22 @@ class TestKeyFile:
                                                r"(an integer|a number), got '"):
             parse_key_file(GOOD_KEY.replace(line, bad, 1))
 
-    def test_missing_stage_rejected(self):
-        bad = GOOD_KEY.split("[stage 4]")[0]
-        with pytest.raises(KeyFileError, match="stage 4"):
-            parse_key_file(bad)
-
-    def test_unknown_key_names_line(self):
-        bad = "bogus = 1\n" + GOOD_KEY
-        with pytest.raises(KeyFileError, match="line 1"):
-            parse_key_file(bad)
-
-    def test_unknown_stage_key_rejected(self):
-        bad = GOOD_KEY.replace("x0 = 0.31", "xx = 0.31")
-        with pytest.raises(KeyFileError, match="xx"):
-            parse_key_file(bad)
+    @pytest.mark.parametrize("old, new, message", [
+        ("[stage 4]", "[stage 5]", "line 29: stage number must be 1..4, got 5"),
+        ("[stage 4]", "[stage 2]", "line 29: duplicate [stage 2] block"),
+        ("burn_in = 16", "x0 0.2", "line 1: expected 'name = value', got 'x0 0.2'"),
+        ("x0 = 0.31", "xx = 0.31", "line 14: unknown stage key 'xx'"),
+        ("x0 = 0.2", "x0 = two", "line 6: x0 must be a number, got 'two'"),
+        ("N1 = 3", "x0 = 0.2", "line 7: duplicate key 'x0' in stage 1"),
+        ("mode = keystream", "burn_in = 8", "line 3: duplicate global key 'burn_in'"),
+        ("N2 = 4\n", "", "stage 1: missing parameter 'N2'"),
+        (GOOD_KEY[GOOD_KEY.index("[stage 4]"):], "", "missing [stage 4] block"),
+    ], ids=["stage-5", "duplicate-stage", "not-name-value", "unknown-stage-key",
+            "non-numeric", "duplicate-stage-key", "duplicate-global-key",
+            "missing-parameter", "missing-stage"])
+    def test_refused_text_names_its_line_or_block(self, old, new, message):
+        with pytest.raises(KeyFileError, match=f"^{re.escape(message)}$"):
+            parse_key_file(GOOD_KEY.replace(old, new, 1))
 
     @pytest.mark.parametrize("line, value, rule, shown", [
         ("eps = 0.4", "1.0", EPS_RULE, "1.0"),
@@ -376,6 +407,10 @@ class TestKeyFile:
     def test_largest_degree_accepted(self):
         good = GOOD_KEY.replace("N1 = 3", "N1 = 1048576", 1)
         assert parse_key_file(good).stages[0].n1 == 2**20
+
+    def test_largest_burn_in_accepted(self):
+        good = GOOD_KEY.replace("burn_in = 16", "burn_in = 1048576")
+        assert parse_key_file(good).burn_in == 2**20
 
     def test_numpy_floats_survive_the_formatter(self):
         p = ChaosParams(np.float64(0.2), 3, 4, np.float64(2.0), 2.5, 0.4)
@@ -403,11 +438,6 @@ class TestKeyFile:
                              normalized=bool(rng.integers(2)),
                              mode=("literal", "keystream")[rng.integers(2)])
             assert parse_key_file(format_key_file(ks)) == ks
-
-    def test_non_numeric_value_names_line(self):
-        bad = GOOD_KEY.replace("x0 = 0.2", "x0 = two")
-        with pytest.raises(KeyFileError, match="line"):
-            parse_key_file(bad)
 
     @pytest.mark.parametrize("line, bad, lineno", [
         ("burn_in = 16", "burn_in = -1", 1),
@@ -521,7 +551,7 @@ class TestCli:
             "L2_HH.pgm", "L2_HL.pgm", "L2_LH.pgm", "L2_LL.pgm",
         ]
         ll = read_pgm(out_dir / "L2_LL.pgm")
-        assert (ll.width, ll.height) == (16, 16)
+        assert ll.pixels.shape == (16, 16)
 
     @pytest.mark.parametrize("normalization", ["raw", "normalized"])
     def test_transform_writes_the_rescaled_quadrants(self, tmp_path, image_path,
@@ -568,7 +598,7 @@ class TestCli:
         assert main(["transform", "--in", str(plain), "--key", str(key_path),
                      "--out-dir", str(tmp_path / "bands")]) == 0
         ll = read_pgm(tmp_path / "bands" / "L2_LL.pgm")
-        assert (ll.width, ll.height) == (3, 3)
+        assert ll.pixels.shape == (3, 3)
 
     # transform writes the cipher's two levels; analyze reports correlations
     # at the audit's pair count.  Neither takes an option to change that.
@@ -605,26 +635,43 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize("command, out, line, value, message", [
-        ("encrypt", "--out", "a2 = 2.5", "1e-200", f"a2 {SCALE_RULE}, got 1e-200"),
+        ("encrypt", "--out", "a2 = 2.5", "1e-200",
+         f"stage 1 (line 10): a2 {SCALE_RULE}, got 1e-200"),
         ("transform", "--out-dir", "a2 = 2.5", "1e-200",
-         f"a2 {SCALE_RULE}, got 1e-200"),
-        ("encrypt", "--out", "a1 = 2", "1e200", f"a1 {SCALE_RULE}, got 1e+200"),
-        ("encrypt", "--out", "N1 = 3", str(10**400),
-         "N1 must be an integer in [2, 2**20], got an integer of over 20 digits"),
+         f"stage 1 (line 10): a2 {SCALE_RULE}, got 1e-200"),
+        ("encrypt", "--out", "a1 = 2", "1e200",
+         f"stage 1 (line 9): a1 {SCALE_RULE}, got 1e+200"),
+        ("encrypt", "--out", "N1 = 3", str(10**400), "stage 1 (line 7): N1 must be "
+         "an integer in [2, 2**20], got an integer of over 20 digits"),
         ("encrypt", "--out", "N1 = 3", "1048577",
-         "N1 must be an integer in [2, 2**20], got 1048577"),
+         "stage 1 (line 7): N1 must be an integer in [2, 2**20], got 1048577"),
+        ("encrypt", "--out", "burn_in = 16", "1048577",
+         "line 1: burn_in must be <= 2**20, got 1048577"),
     ], ids=["a2-1e-200-encrypt", "a2-1e-200-transform", "a1-1e200", "N1-10**400",
-            "N1-2**20+1"])
+            "N1-2**20+1", "burn-in-2**20+1"])
     def test_refused_key_value_is_a_data_error_naming_its_line(
             self, tmp_path, image_path, command, out, line, value, message, capsys):
-        name = line.split()[0]
-        lineno = GOOD_KEY.splitlines().index(line) + 1
         key = tmp_path / "bad.key"
-        key.write_text(GOOD_KEY.replace(line, f"{name} = {value}", 1))
+        key.write_text(GOOD_KEY.replace(line, f"{line.split()[0]} = {value}", 1))
         rc = main([command, "--in", str(image_path), "--key", str(key),
                    out, str(tmp_path / "out")])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: stage 1 (line {lineno}): {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    # Stage 1's burn-in reaches a tan pole, and again after the perturbation.
+    @pytest.mark.parametrize("command, out", [("encrypt", "--out"),
+                                              ("transform", "--out-dir")],
+                             ids=["encrypt", "transform"])
+    def test_degenerate_key_is_a_numeric_error(self, tmp_path, image_path, command,
+                                               out, capsys):
+        key = tmp_path / "degenerate.key"
+        key.write_text(GOOD_KEY.replace("x0 = 0.2", "x0 = 1e30", 1))
+        rc = main([command, "--in", str(image_path), "--key", str(key),
+                   out, str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == ("numeric degeneracy: orbit degenerate near "
+                                           "x=1e+30 (pole after perturbation)\n")
         assert not (tmp_path / "out").exists()
 
     def test_crypt_takes_every_side_the_cipher_takes(self, tmp_path, key_path,

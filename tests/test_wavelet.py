@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,13 @@ class TestSubBands:
     def test_quadrant_dimensions(self):
         ll, *_ = split_subbands(np.zeros((256, 256)))
         assert ll.shape == (128, 128)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 8), (4,)],
+                             ids=["odd", "non-square", "1-D"])
+    def test_split_refuses_a_matrix_it_cannot_quarter(self, shape):
+        message = f"expected an even square matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            split_subbands(np.zeros(shape))
 
     def test_mismatched_quadrants_rejected(self):
         with pytest.raises(ValueError):
