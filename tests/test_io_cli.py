@@ -383,6 +383,11 @@ class TestKeyFile:
         with pytest.raises(KeyFileError, match=f"^{re.escape(message)}$"):
             parse_key_file(GOOD_KEY.replace(old, new, 1))
 
+    def test_unknown_key_names_line(self):
+        bad = GOOD_KEY.replace("mode = keystream", "mode = keystream\nbogus = 1", 1)
+        with pytest.raises(KeyFileError, match="^line 4: unknown global key 'bogus'$"):
+            parse_key_file(bad)
+
     @pytest.mark.parametrize("line, value, rule, shown", [
         ("eps = 0.4", "1.0", EPS_RULE, "1.0"),
         ("N1 = 3", "1", DEGREE_RULE, "1"),
