@@ -41,6 +41,7 @@ DEFAULT_BURN_IN = 64
 # Largest burn-in a KeySchedule takes; each of a key's five streams runs it.
 # LambdaStream has no ceiling: the keystream's stream runs 1000 steps more.
 MAX_BURN_IN = 2**20
+_BURN_CHUNK = 2**14  # the burn-in keeps at most this many iterates at once
 
 MAX_DEGREE = 2**20  # largest N1, N2: LambdaStream.orbit's pole band holds
 _HALF_PI = math.pi / 2.0
@@ -172,7 +173,9 @@ class LambdaStream:
     def __init__(self, params: ChaosParams, burn_in: int = DEFAULT_BURN_IN):
         self.params = params
         self.state = params.x0
-        self.orbit(nonnegative_int("burn_in", burn_in))
+        burn_in = nonnegative_int("burn_in", burn_in)
+        for done in range(0, burn_in, _BURN_CHUNK):
+            self.orbit(min(_BURN_CHUNK, burn_in - done))
 
     def step(self) -> float:
         """Advance the orbit one iterate and return the new state.

@@ -9,6 +9,8 @@ from typing import Optional
 
 import numpy as np
 
+from cthwave.chaos import _integer
+
 __all__ = [
     "MetricsReport",
     "ZeroVarianceError",
@@ -98,6 +100,8 @@ def correlation_adjacent(
     img = _as_bytes(img)
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {sorted(DIRECTIONS)}")
+    if _integer(n_pairs) is None:
+        raise ValueError(f"n_pairs must be an integer, got {n_pairs!r}")
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     dr, dc = DIRECTIONS[direction]

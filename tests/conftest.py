@@ -7,8 +7,6 @@ from cthwave.chaos import ChaosParams, LambdaStream
 from cthwave.cipher import KeySchedule
 from cthwave.wavelet import build_level_matrix
 
-from reference import REFERENCE_LAMBDAS, REFERENCE_MATRIX, REFERENCE_PARAMS  # noqa: F401
-
 
 def random_chaos_params(rng: np.random.Generator) -> ChaosParams:
     return ChaosParams(

@@ -1,6 +1,6 @@
 """The published 4x4 worked example: its slopes, its matrix and its control
 parameters.  Needs numpy and cthwave only, so scripts/reproduce_worked_matrix.py
-imports it without pytest; conftest re-exports it to the tests."""
+imports it without pytest; the tests import it the same way."""
 
 import numpy as np
 

@@ -31,13 +31,8 @@ from cthwave.wavelet import (
     reconstruct,
 )
 
-from conftest import (
-    REFERENCE_LAMBDAS,
-    REFERENCE_MATRIX,
-    random_chaos_params,
-    random_key_schedule,
-    stream_matrices,
-)
+from conftest import random_chaos_params, random_key_schedule, stream_matrices
+from reference import REFERENCE_LAMBDAS, REFERENCE_MATRIX
 
 
 def report(num, ok, detail):

@@ -5,7 +5,7 @@ import pytest
 
 @pytest.mark.parametrize(
     "module",
-    ["cthwave", "cthwave.chaos", "cthwave.cipher", "cthwave.imageio",
+    ["cthwave.chaos", "cthwave.cipher", "cthwave.imageio",
      "cthwave.keyfile", "cthwave.metrics", "cthwave.wavelet"],
 )
 def test_every_exported_name_resolves(module):

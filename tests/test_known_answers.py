@@ -21,7 +21,8 @@ from cthwave.chaos import LambdaStream
 from cthwave.cipher import chaotic_image, encrypt, keystream_image, quantize
 from cthwave.imageio import synthetic_test_image
 
-from conftest import REFERENCE_PARAMS, random_key_schedule
+from conftest import random_key_schedule
+from reference import REFERENCE_PARAMS
 
 LAMBDAS_HEX = [
     "-0x1.768156372bdeap+0", "-0x1.19d9785dc98c8p-3",

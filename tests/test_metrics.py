@@ -168,10 +168,17 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             correlation_adjacent(np.zeros((8, 8), np.uint8), "antidiagonal")
 
-    @pytest.mark.parametrize("n_pairs", [0, -1])
-    def test_fewer_than_one_pair_rejected(self, n_pairs):
+    @pytest.mark.parametrize("n_pairs, message", [
+        (0, "n_pairs must be >= 1, got 0"),
+        (-1, "n_pairs must be >= 1, got -1"),
+        (2.5, "n_pairs must be an integer, got 2.5"),
+        (1e9, "n_pairs must be an integer, got 1000000000.0"),
+        (True, "n_pairs must be an integer, got True"),
+        ("5", "n_pairs must be an integer, got '5'"),
+    ], ids=["0", "-1", "2.5", "1e9", "True", "str"])
+    def test_fewer_than_one_pair_rejected(self, n_pairs, message):
         img = np.random.default_rng(4).integers(0, 256, (8, 8), dtype=np.uint8)
-        with pytest.raises(ValueError, match="n_pairs"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             correlation_adjacent(img, "horizontal", n_pairs=n_pairs)
 
 

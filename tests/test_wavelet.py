@@ -23,7 +23,8 @@ from cthwave.wavelet import (
     _scaling_pair,
 )
 
-from conftest import REFERENCE_PARAMS, random_chaos_params
+from conftest import random_chaos_params
+from reference import REFERENCE_PARAMS
 
 
 class TestScalingPair:
