@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from cthwave.chaos import (DEFAULT_BURN_IN, MAX_BURN_IN, ChaosParams, LambdaStream,
-                           _shown, nonnegative_int)
+from cthwave.chaos import (_BURN_CHUNK, DEFAULT_BURN_IN, MAX_BURN_IN, ChaosParams,
+                           LambdaStream, _shown, nonnegative_int)
 from cthwave.wavelet import ButterflyMatrix, build_level_matrix, forward_2d, inverse_2d
 # Unused here; bench/tracer.py wraps them by name in this module.
 from cthwave.wavelet import merge_subbands, split_subbands  # noqa: F401
@@ -51,6 +51,9 @@ MODES = ("literal", "keystream")
 # parsed keys per key-file text (keyfile.parse_key_file).
 # Keep it below 32: the bench self-test replays 32 keys and needs each to miss.
 MASK_CACHE_SIZE = 8
+
+# Elements per block of quantize's mod-256 step: 128 KiB of float64.
+_QUANTIZE_BLOCK = 2**14
 
 
 class CipherModeError(ValueError):
@@ -198,33 +201,45 @@ def chaotic_image(m: np.ndarray, ks: KeySchedule) -> np.ndarray:
     wavelet.reconstruct(f, (h4, h3)); the transforms stay inline until the
     library times its own layers (ROADMAP item 1), because the benchmark
     wraps them here by name.
+
+    A uint8 image is read as it is (the first pass's ufuncs cast it to
+    float exactly), and every transform after the first writes in place, so
+    besides the transforms' own buffers the chain holds at most two n x n
+    float arrays, both during the gather.
     """
-    m = np.asarray(m, dtype=float)
+    m = np.asarray(m)
     _check_side(m.shape, "image")
     n, h = m.shape[0], m.shape[0] // 2
     h1, h2, h3, h4 = _stage_matrices(ks, n)
 
     f = forward_2d(m, h1)
-    f[:h, :h] = forward_2d(f[:h, :h], h2)
+    forward_2d(f[:h, :h], h2, out=f[:h, :h])
+    # Indexing, not np.take: np.take copies a read-only index array first.
     f = f.reshape(-1)[_mask_perm(n)].reshape(n, n)
-    f[:h, :h] = inverse_2d(f[:h, :h], h3)
-    return inverse_2d(f, h4)
+    inverse_2d(f[:h, :h], h3, out=f[:h, :h])
+    return inverse_2d(f, h4, out=f)
 
 
 def quantize(f: np.ndarray) -> np.ndarray:
     """Round half away from zero, then reduce modulo 256 into [0, 255]."""
     f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
+    out = np.abs(f, order="C")
+    # max propagates NaN, so one reduction finds NaN and inf alike.
+    if not np.isfinite(np.max(out, initial=0.0)):
         raise ValueError("cannot quantize non-finite values")
-    out = np.abs(f)
     out += 0.5
     np.floor(out, out=out)
     np.copysign(out, f, out=out)
     # out is integral, so out - 256 floor(out / 256) is exact and equals mod.
-    q = out * (1.0 / 256.0)
-    np.floor(q, out=q)
-    q *= 256.0
-    out -= q
+    flat = out.reshape(-1)
+    q = np.empty(min(flat.size, _QUANTIZE_BLOCK))
+    for i in range(0, flat.size, _QUANTIZE_BLOCK):
+        block = flat[i:i + _QUANTIZE_BLOCK]
+        t = q[:block.size]
+        np.multiply(block, 1.0 / 256.0, out=t)
+        np.floor(t, out=t)
+        t *= 256.0
+        block -= t
     return out.astype(np.uint8)
 
 
@@ -245,16 +260,20 @@ def keystream_image(ks: KeySchedule, n: int) -> np.ndarray:
     burn-in offset; each pixel is floor(frac(x) * 256) for one iterate x.
     Its orbit segment overlaps stage 1's from side 504 on: the first
     2n - 1000 pixels come from the iterates of stage 1's last 2n - 1000
-    slopes (KEYSTREAM_BURN_OFFSET).
+    slopes (KEYSTREAM_BURN_OFFSET).  The orbit is folded _BURN_CHUNK
+    iterates at a time, so it is never held whole.
     """
     _check_side((n, n), "side")
     stream = LambdaStream(ks.stages[0], ks.burn_in + KEYSTREAM_BURN_OFFSET)
-    x = np.frombuffer(stream.orbit(n * n), dtype=float)
-    b = np.floor(x)
-    np.subtract(x, b, out=b)
-    b *= 256.0
-    # frac(x) < 1, so b < 256 and truncation already lands in [0, 255].
-    return b.astype(np.uint8).reshape(n, n)
+    image = np.empty(n * n, dtype=np.uint8)
+    for i in range(0, image.size, _BURN_CHUNK):
+        x = np.frombuffer(stream.orbit(min(_BURN_CHUNK, image.size - i)), dtype=float)
+        b = np.floor(x)
+        np.subtract(x, b, out=b)
+        b *= 256.0
+        # frac(x) < 1, so b < 256 and truncation already lands in [0, 255].
+        image[i:i + b.size] = b
+    return image.reshape(n, n)
 
 
 def _check_side(shape: tuple[int, ...], name: str) -> None:

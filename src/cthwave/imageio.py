@@ -12,6 +12,8 @@ from typing import Union
 
 import numpy as np
 
+from cthwave.chaos import _integer, _shown
+
 __all__ = [
     "GrayImage",
     "PgmError",
@@ -25,6 +27,11 @@ __all__ = [
 # to the end of its line (or of the data): the lookahead stops backtracking
 # from splitting it into a token.
 _HEADER_FIELD = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
+
+# Rows per block of synthetic_test_image.  A multiple of 8, so every block
+# starts on a multiple of 8 elements and numpy's SIMD sin and cos group the
+# elements in the same lanes as one call on the whole image would.
+_SYNTH_ROWS = 64
 
 # Windows only: without it os.open gives text mode, which turns \n into
 # \r\n on write and \r\n into \n, stopping at byte 0x1A, on read.
@@ -127,28 +134,49 @@ def write_pgm(img: GrayImage, path: Union[str, Path]) -> None:
 
 
 def rescale_to_bytes(values: np.ndarray) -> np.ndarray:
-    """Affine rescale of a real matrix to [0, 255]; constant input -> 128."""
+    """Affine rescale of a real matrix to [0, 255]; constant input -> 128.
+
+    Works in place on one float temporary; values is not changed.
+    """
     values = np.asarray(values, dtype=float)
     lo, hi = values.min(), values.max()
     if hi == lo:
         return np.full(values.shape, 128, dtype=np.uint8)
-    scaled = (values - lo) / (hi - lo) * 255.0
-    return np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
+    scaled = values - lo
+    scaled /= hi - lo
+    scaled *= 255.0
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, 0, 255, out=scaled)
+    return scaled.astype(np.uint8)
 
 
 def synthetic_test_image(n: int = 256, seed: int = 7) -> np.ndarray:
-    """Deterministic natural-looking grayscale image.
+    """Deterministic natural-looking n x n grayscale image, n >= 2.
 
     Low-frequency sinusoidal shading plus fine-grained texture; adjacent
-    pixels correlate around 0.9, like a photographic test image.
+    pixels correlate around 0.9, like a photographic test image.  The
+    shading and the texture are made _SYNTH_ROWS rows at a time, so
+    temporaries stay small; the shading's standard deviation is taken over
+    the whole image.
     """
+    if (side := _integer(n)) is None or side < 2:
+        raise ValueError(f"n must be an integer >= 2, got {_shown(n)}")
     rng = np.random.default_rng(seed)
-    yy, xx = np.meshgrid(np.linspace(0, 1, n), np.linspace(0, 1, n), indexing="ij")
-    base = (
-        0.5 * np.sin(2 * np.pi * (1.3 * xx + 0.6 * yy))
-        + 0.3 * np.cos(2 * np.pi * (0.8 * xx - 1.7 * yy + 0.2))
-        + 0.2 * np.sin(2 * np.pi * (3.1 * xx * yy))
-    )
+    t = np.linspace(0, 1, side)
+    base = np.empty((side, side))
+    for r in range(0, side, _SYNTH_ROWS):
+        xx, yy = t, t[r:r + _SYNTH_ROWS, None]
+        np.add(
+            0.5 * np.sin(2 * np.pi * (1.3 * xx + 0.6 * yy))
+            + 0.3 * np.cos(2 * np.pi * (0.8 * xx - 1.7 * yy + 0.2)),
+            0.2 * np.sin(2 * np.pi * (3.1 * xx * yy)),
+            out=base[r:r + _SYNTH_ROWS],
+        )
     base /= base.std()
-    texture = 0.3 * rng.standard_normal((n, n))
-    return rescale_to_bytes(base + texture)
+    noise = np.empty((min(side, _SYNTH_ROWS), side))
+    for r in range(0, side, _SYNTH_ROWS):
+        texture = noise[:side - r]
+        rng.standard_normal(out=texture)
+        texture *= 0.3
+        base[r:r + _SYNTH_ROWS] += texture
+    return rescale_to_bytes(base)

@@ -170,40 +170,82 @@ def build_level_matrix(
     return ButterflyMatrix(np.fromiter(lambdas, float, 2 * n), normalized)
 
 
-def _analysis_rows(x: np.ndarray, h: ButterflyMatrix) -> np.ndarray:
-    """H x: each pair of rows 2r, 2r+1 becomes rows r and n/2 + r."""
+def _analysis_rows(x: np.ndarray, h: ButterflyMatrix, out: np.ndarray,
+                   scratch: np.ndarray) -> None:
+    """H x into out: each pair of rows 2r, 2r+1 becomes rows r and n/2 + r.
+
+    scratch has the shape of one half of out; out overlaps neither x nor
+    scratch.  Each half takes the products and the sum or difference of the
+    two-term formula, in that order.
+    """
+    half = h.a0.size
     even, odd = x[0::2], x[1::2]
+    top, bottom = out[:half], out[half:]
     a0, a1, d1, d0 = (c[:, None] for c in (h.a0, h.a1, h.d1, h.d0))
-    return np.concatenate((a0 * even + a1 * odd, d1 * even - d0 * odd))
+    np.multiply(a0, even, out=top)
+    np.multiply(a1, odd, out=scratch)
+    top += scratch
+    np.multiply(d1, even, out=bottom)
+    np.multiply(d0, odd, out=scratch)
+    bottom -= scratch
 
 
-def _synthesis_rows(y: np.ndarray, h: ButterflyMatrix) -> np.ndarray:
-    """H^-1 y through the closed-form inverse of each 2x2 block."""
+def _synthesis_rows(y: np.ndarray, h: ButterflyMatrix, out: np.ndarray,
+                    scratch: np.ndarray) -> None:
+    """H^-1 y into out, through the closed-form inverse of each 2x2 block;
+    out and scratch as for _analysis_rows."""
     half = h.a0.size
     top, bottom = y[:half], y[half:]
+    even, odd = out[0::2], out[1::2]
     a0, a1, d1, d0 = (c[:, None] for c in (h.a0, h.a1, h.d1, h.d0))
     det = a0 * d0 + a1 * d1
-    x = np.empty_like(y)
-    x[0::2] = (d0 * top + a1 * bottom) / det
-    x[1::2] = (d1 * top - a0 * bottom) / det
-    return x
+    np.multiply(d0, top, out=even)
+    np.multiply(a1, bottom, out=scratch)
+    even += scratch
+    even /= det
+    np.multiply(d1, top, out=odd)
+    np.multiply(a0, bottom, out=scratch)
+    odd -= scratch
+    odd /= det
 
 
-def forward_2d(m: np.ndarray, h: ButterflyMatrix) -> np.ndarray:
-    """Two-dimensional transform F = H M H^T (rows, then columns)."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (h.n, h.n):
-        raise ValueError(f"matrix shape {m.shape} does not match n={h.n}")
-    return _analysis_rows(_analysis_rows(m, h).T, h).T
+def _two_passes(rows, x: np.ndarray, h: ButterflyMatrix, out) -> np.ndarray:
+    """rows over the rows of x, then over the columns, into out (a new array
+    if None; x itself allowed).
+
+    The row pass writes a C-ordered buffer; the column pass reads it
+    transposed and writes out transposed, so each pass keeps the memory
+    order of its input.  One half-size scratch serves both.  Integer
+    inputs are cast to float by the first pass's ufuncs, exactly.
+    """
+    x = np.asarray(x)
+    n = h.n
+    if x.shape != (n, n):
+        raise ValueError(f"matrix shape {x.shape} does not match n={n}")
+    if out is None:
+        out = np.empty((n, n))
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == (n, n)):
+        raise ValueError(f"out must be a float64 array of shape {(n, n)}")
+    work = np.empty((n, n))
+    scratch = np.empty(n * n // 2)
+    rows(x, h, work, scratch.reshape(n // 2, n))
+    rows(work.T, h, out.T, scratch.reshape(n, n // 2).T)
+    return out
 
 
-def inverse_2d(f: np.ndarray, h: ButterflyMatrix) -> np.ndarray:
+def forward_2d(m: np.ndarray, h: ButterflyMatrix, *, out: np.ndarray | None = None
+               ) -> np.ndarray:
+    """Two-dimensional transform F = H M H^T (rows, then columns), into
+    out if given; out may be m itself."""
+    return _two_passes(_analysis_rows, m, h, out)
+
+
+def inverse_2d(f: np.ndarray, h: ButterflyMatrix, *, out: np.ndarray | None = None
+               ) -> np.ndarray:
     """Inverse transform M = H^-1 F H^-T (rows, then columns), through each
-    block's closed-form inverse."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (h.n, h.n):
-        raise ValueError(f"matrix shape {f.shape} does not match n={h.n}")
-    return _synthesis_rows(_synthesis_rows(f, h).T, h).T
+    block's closed-form inverse, into out if given; out may be f itself."""
+    return _two_passes(_synthesis_rows, f, h, out)
 
 
 def split_subbands(f: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -246,7 +288,7 @@ def decompose(image: np.ndarray, matrices: Sequence[ButterflyMatrix]) -> np.ndar
     """
     f = _pyramid(image, matrices)
     for h in matrices:
-        f[:h.n, :h.n] = forward_2d(f[:h.n, :h.n], h)
+        forward_2d(f[:h.n, :h.n], h, out=f[:h.n, :h.n])
     return f
 
 
@@ -254,5 +296,5 @@ def reconstruct(f: np.ndarray, matrices: Sequence[ButterflyMatrix]) -> np.ndarra
     """Invert decompose with the same matrices, deepest level first."""
     m = _pyramid(f, matrices)
     for h in reversed(matrices):
-        m[:h.n, :h.n] = inverse_2d(m[:h.n, :h.n], h)
+        inverse_2d(m[:h.n, :h.n], h, out=m[:h.n, :h.n])
     return m

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,26 @@ def stream_matrices(params, n: int, burn_in: int):
         build_level_matrix(s, LambdaStream(p, burn_in).lambdas(2 * s))
         for p, s in zip(params, sides)
     ]
+
+
+def peak_rss_rise_kib(setup: str, statement: str) -> int:
+    """KiB by which a fresh interpreter's peak RSS rises while it runs
+    statement, after setup; both may import cthwave and tests/reference.py.
+
+    Reads VmHWM from /proc/self/status, so Linux only.  VmHWM starts afresh
+    at exec; ru_maxrss would start at this process's peak and hide the rise.
+    """
+    code = (f"import re; from pathlib import Path; {setup}; "
+            "peak = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', "
+            "Path('/proc/self/status').read_text())[1]); "
+            f"before = peak(); {statement}; print(peak() - before)")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return int(run.stdout)
 
 
 def random_key_schedule(rng: np.random.Generator, **kwargs) -> KeySchedule:

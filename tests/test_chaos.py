@@ -1,11 +1,8 @@
 import math
-import os
 import re
-import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +20,7 @@ from cthwave.chaos import (
     step_coupled,
 )
 
-from conftest import random_chaos_params
+from conftest import peak_rss_rise_kib, random_chaos_params
 from reference import REFERENCE_PARAMS
 
 DEGREE_RULE = r"must be an integer in \[2, 2\*\*20\]"
@@ -256,21 +253,10 @@ class TestLambdaStream:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_longest_burn_in_keeps_no_orbit(self):
-        # VmHWM, the peak RSS in KiB, starts afresh at exec; ru_maxrss would
-        # start at this process's peak and hide the burn-in's.
-        code = ("import re; from pathlib import Path; from cthwave import chaos; "
-                "from reference import REFERENCE_PARAMS as p; "
-                "peak = lambda: int(re.search(r'VmHWM:\\s*(\\d+)', "
-                "Path('/proc/self/status').read_text())[1]); "
-                "before = peak(); chaos.LambdaStream(p, chaos.MAX_BURN_IN); "
-                "print(peak() - before)")
-        root = Path(__file__).resolve().parents[1]
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
-        run = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=60)
-        assert run.returncode == 0, run.stderr
-        assert int(run.stdout) < 1024  # KiB: 2**20 iterates would take 8 MiB
+        rise = peak_rss_rise_kib("from cthwave import chaos; "
+                                 "from reference import REFERENCE_PARAMS as p",
+                                 "chaos.LambdaStream(p, chaos.MAX_BURN_IN)")
+        assert rise < 1024  # KiB: 2**20 iterates would take 8 MiB
 
     def test_negative_burn_in_rejected(self):
         with pytest.raises(ValueError):

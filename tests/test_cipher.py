@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from cthwave.keyfile import format_key_file, parse_key_file
 from cthwave.metrics import entropy_normalized, npcr
 from cthwave.wavelet import decompose, reconstruct
 
-from conftest import random_key_schedule, reference_swap_perm
+from conftest import peak_rss_rise_kib, random_key_schedule, reference_swap_perm
 
 
 def random_quadrants(q, seed):
@@ -257,6 +258,23 @@ class TestKeystream:
         a = keystream_image(ks, 128)
         b = keystream_image(perturbed, 128)
         assert npcr(a, b) > 98.0
+
+    @pytest.mark.parametrize("n", [8, 136])
+    def test_is_the_whole_orbit_folded(self, default_keystream_key, n):
+        # 136^2 = 18,496 pixels end one iterate chunk and part of the next.
+        ks = default_keystream_key
+        x = np.frombuffer(LambdaStream(ks.stages[0], ks.burn_in + 1000).orbit(n * n))
+        whole = np.floor((x - np.floor(x)) * 256.0).astype(np.uint8)
+        assert keystream_image(ks, n).tobytes() == whole.tobytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_keeps_no_orbit(self):
+        rise = peak_rss_rise_kib("from cthwave import cipher; "
+                                 "from reference import REFERENCE_PARAMS as p; "
+                                 "ks = cipher.KeySchedule((p,) * 4)",
+                                 "cipher.keystream_image(ks, 1024)")
+        # KiB: the image is 1 MiB; its 2**20 iterates would take 8 MiB more.
+        assert rise < 4096
 
     def test_shares_stage_one_iterates_from_side_504(self, default_keystream_key):
         # Stage 1's 2n slopes use iterates burn_in + 1 .. burn_in + 2n of the

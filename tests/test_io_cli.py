@@ -277,6 +277,18 @@ class TestPgm:
         with pytest.raises(error, match=f"^{re.escape(message.format(path=str(path)))}$"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("n, shown", [
+        (0, "0"), (1, "1"), (-8, "-8"), (np.int64(1), "np.int64(1)"), (True, "True"),
+        (np.True_, "np.True_"), (8.0, "8.0"), ("8", "'8'"), (None, "None"),
+    ])
+    def test_synthetic_image_refuses_a_side_below_two(self, n, shown):
+        message = f"n must be an integer >= 2, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synthetic_test_image(n)
+
+    def test_synthetic_image_takes_a_numpy_integer_side(self):
+        assert synthetic_test_image(np.int64(2)).shape == (2, 2)
+
     def test_rescale(self):
         v = np.array([[0.0, 1.0], [2.0, 3.0]])
         out = rescale_to_bytes(v)
