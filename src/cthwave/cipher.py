@@ -55,6 +55,9 @@ MASK_CACHE_SIZE = 8
 # Elements per block of quantize's mod-256 step: 128 KiB of float64.
 _QUANTIZE_BLOCK = 2**14
 
+# Compared with instead of np.uint8, which numpy converts on every comparison.
+_UINT8 = np.dtype(np.uint8)
+
 
 class CipherModeError(ValueError):
     """Operation invoked in a cipher mode that does not support it."""
@@ -66,6 +69,11 @@ class KeySchedule:
 
     Stage order: level-1 forward, level-2 forward, level-2 inverse,
     level-1 inverse.
+
+    The hash is computed once, when the key is built, from the stages,
+    burn-in and normalization, so each cache lookup by key reads one stored
+    integer.  It leaves out the mode, whose string hash would depend on
+    PYTHONHASHSEED: an unpickled key still hashes like an equal fresh one.
     """
 
     stages: tuple[ChaosParams, ChaosParams, ChaosParams, ChaosParams]
@@ -86,6 +94,11 @@ class KeySchedule:
             raise ValueError(f"normalization must be a bool, got {self.normalized!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        object.__setattr__(self, "_hash", hash((self.stages, self.burn_in,
+                                                self.normalized)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _spiral(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +259,7 @@ def quantize(f: np.ndarray) -> np.ndarray:
 def xor_combine(f_bytes: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Bitwise XOR per pixel of two uint8 arrays; other dtypes are refused."""
     f_bytes, m = np.asarray(f_bytes), np.asarray(m)
-    if f_bytes.dtype != np.uint8 or m.dtype != np.uint8:
+    if f_bytes.dtype != _UINT8 or m.dtype != _UINT8:
         raise ValueError(f"xor_combine needs uint8, got {f_bytes.dtype} and {m.dtype}")
     if f_bytes.shape != m.shape:
         raise ValueError(f"shape mismatch: {f_bytes.shape} vs {m.shape}")
@@ -287,7 +300,7 @@ def _check_side(shape: tuple[int, ...], name: str) -> None:
 def _check_image(x: np.ndarray, name: str) -> np.ndarray:
     """Refuse anything but a square uint8 image of a supported side."""
     x = np.asarray(x)
-    if x.dtype != np.uint8:
+    if x.dtype != _UINT8:
         raise ValueError(f"{name} must have dtype uint8, got {x.dtype}")
     _check_side(x.shape, name)
     return x

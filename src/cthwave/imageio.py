@@ -37,6 +37,9 @@ _SYNTH_ROWS = 64
 # \r\n on write and \r\n into \n, stopping at byte 0x1A, on read.
 _O_BINARY = getattr(os, "O_BINARY", 0)
 
+# Compared with instead of np.uint8, which numpy converts on every comparison.
+_UINT8 = np.dtype(np.uint8)
+
 
 class PgmError(ValueError):
     """Malformed or unsupported PGM data."""
@@ -52,7 +55,7 @@ class GrayImage:
         px = np.asarray(self.pixels)
         if px.ndim != 2:
             raise ValueError(f"pixels must be 2-D, got shape {px.shape}")
-        if px.dtype != np.uint8:
+        if px.dtype != _UINT8:
             raise ValueError(f"pixels must be uint8, got {px.dtype}")
         if 0 in px.shape:
             raise ValueError(f"pixels must not be empty, got shape {px.shape}")

@@ -40,6 +40,9 @@ ANALYZE_PAIRS = 1_000_000
 
 KEYSPACE_INSTANCES = 24  # six control parameters used in four stages
 
+# Compared with instead of np.uint8, which numpy converts on every comparison.
+_UINT8 = np.dtype(np.uint8)
+
 
 class ZeroVarianceError(ArithmeticError):
     """A correlation marginal is constant, so the coefficient is undefined."""
@@ -59,7 +62,7 @@ class MetricsReport:
 
 def _as_bytes(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
-    if img.dtype != np.uint8:
+    if img.dtype != _UINT8:
         raise ValueError(f"expected a uint8 image, got dtype {img.dtype}")
     return img
 

@@ -21,7 +21,7 @@ plain array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -110,19 +110,19 @@ class ButterflyMatrix:
     of slopes lam[n+2r], lam[n+2r+1].  p~ = p / sqrt(2) when normalized,
     p~ = p when raw.  p0, p1 lie in [2/3, 5/3] on [-2, 2], so every block
     has |det| = a0*d0 + a1*d1 >= (8/9) s^2 and the matrix is invertible by
-    construction.  lam and the coefficient vectors are read-only copies, so
-    a matrix can be shared between calls.
+    construction.  Only the coefficient vectors are kept, as read-only
+    copies, so a matrix can be shared between calls.
     """
 
-    lam: np.ndarray
+    lam: InitVar[np.ndarray]
     normalized: bool = False
     a0: np.ndarray = field(init=False, repr=False)
     a1: np.ndarray = field(init=False, repr=False)
     d1: np.ndarray = field(init=False, repr=False)
     d0: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        lam = np.array(self.lam, dtype=float)
+    def __post_init__(self, lam: np.ndarray) -> None:
+        lam = np.asarray(lam, dtype=float)
         n = lam.size // 2
         if lam.ndim != 1 or lam.size != 2 * n or n < 2 or n % 2:
             raise ValueError(f"need a 1-D array of 2n slopes with n even and >= 2, "
@@ -131,8 +131,7 @@ class ButterflyMatrix:
         scale = _INV_SQRT2 if self.normalized else 1.0
         p0, p1 = _scaling_pair(lam)
         p0, p1 = scale * p0, scale * p1
-        coeffs = dict(lam=lam, a0=p0[0:n:2], a1=p1[1:n:2],
-                      d1=p1[n::2], d0=p0[n + 1::2])
+        coeffs = dict(a0=p0[0:n:2], a1=p1[1:n:2], d1=p1[n::2], d0=p0[n + 1::2])
         for k, c in coeffs.items():
             c = np.ascontiguousarray(c)  # the transforms read these fastest
             c.flags.writeable = False

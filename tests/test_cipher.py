@@ -1,7 +1,11 @@
+import copy
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,6 +457,44 @@ class TestMaskCache:
         a, b = cold_mask_cache(ks, 16), cold_mask_cache(other, 16)
         assert not np.array_equal(a, b)
         assert cold_mask_cache.cache_info().misses == 2
+
+    def test_a_hit_hashes_no_stage(self, cold_mask_cache, default_keystream_key, monkeypatch):
+        # A generated KeySchedule.__hash__ would hash all four stages per lookup.
+        ks = default_keystream_key
+        m = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        e = encrypt(m, ks)
+        hashed = []
+        stage_hash = ChaosParams.__hash__
+
+        def counted(p):
+            hashed.append(p)
+            return stage_hash(p)
+
+        monkeypatch.setattr(ChaosParams, "__hash__", counted)
+        assert np.array_equal(encrypt(m, ks), e)
+        assert np.array_equal(decrypt(e, ks), m)
+        assert cold_mask_cache.cache_info().hits == 2
+        assert hashed == []
+
+    def test_stored_hash_survives_pickle_copy_and_replace(self, default_keystream_key):
+        ks = default_keystream_key
+        assert hash(replace(ks)) == hash(copy.deepcopy(ks)) == hash(ks)
+        # The hash leaves out the mode string, whose hash follows PYTHONHASHSEED.
+        build = ("import pickle, sys; from cthwave.chaos import ChaosParams; "
+                 "from cthwave.cipher import KeySchedule; "
+                 "ks = KeySchedule(tuple(ChaosParams(x0, 3, 4, 2.0, 2.5, 0.4) "
+                 "for x0 in (0.2, 0.31, 0.47, 0.59)), mode='literal'); ")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def run(seed, code, stdin=None):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            return subprocess.run([sys.executable, "-c", build + code], env=env, input=stdin,
+                                  capture_output=True, check=True, timeout=60).stdout
+
+        pickled = run("1", "sys.stdout.buffer.write(pickle.dumps(ks))")
+        same = run("2", "old = pickle.loads(sys.stdin.buffer.read()); "
+                        "print(old == ks, hash(old) == hash(ks))", stdin=pickled)
+        assert same.split() == [b"True", b"True"]
 
     def test_literal_mode_bypasses_the_cache(
         self, cold_mask_cache, default_keystream_key, default_literal_key, monkeypatch

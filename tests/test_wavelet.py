@@ -158,9 +158,9 @@ class TestButterflyStage:
         lam = np.linspace(-2.0, 2.0, 16)
         h = ButterflyMatrix(lam)
         assert lam.flags.writeable
+        a0, d0 = h.a0.copy(), h.d0.copy()
         lam[:] = 0.0
-        assert not h.lam.flags.writeable
-        assert h.lam.tolist() == np.linspace(-2.0, 2.0, 16).tolist()
+        assert np.array_equal(h.a0, a0) and np.array_equal(h.d0, d0)
         assert h.a0[0] == _scaling_pair(-2.0)[0] and h.d0[-1] == _scaling_pair(2.0)[0]
 
     def test_compares_and_hashes_by_identity(self):
