@@ -23,16 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ChaosParams",
-    "LambdaStream",
-    "PoleError",
-    "StreamDegeneracyError",
-    "f1",
-    "f2",
-    "step_coupled",
-]
-
 # How close (in radians) an angle may come to a tan/cot pole before the
 # evaluation is rejected.  Poles are measure zero; callers re-seed or perturb.
 POLE_TOL = 1e-9
@@ -117,7 +107,7 @@ def nonnegative_int(name: str, v: object) -> int:
 
 
 def _shown(v: object) -> str:
-    """repr(v), but an integer of 20 or more digits is not spelled out."""
+    """repr(v), but an integer of over 20 digits is not spelled out."""
     if isinstance(v, int) and abs(v) >= 10**20:
         return "an integer of over 20 digits"
     return repr(v)

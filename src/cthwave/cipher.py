@@ -16,27 +16,19 @@ from functools import lru_cache
 import numpy as np
 
 from cthwave.chaos import (_BURN_CHUNK, DEFAULT_BURN_IN, MAX_BURN_IN, ChaosParams,
-                           LambdaStream, _shown, nonnegative_int)
+                           LambdaStream, _integer, _shown, nonnegative_int)
 from cthwave.wavelet import ButterflyMatrix, build_level_matrix, forward_2d, inverse_2d
 # Unused here; bench/tracer.py wraps them by name in this module.
 from cthwave.wavelet import merge_subbands, split_subbands  # noqa: F401
 
-__all__ = [
-    "KeySchedule",
-    "CipherModeError",
-    "spiral_swap",
-    "chaotic_image",
-    "quantize",
-    "xor_combine",
-    "keystream_image",
-    "encrypt",
-    "decrypt",
-    "verify_literal_roundtrip",
-]
-
 # Smallest quadrant side the spiral swap is defined for; smaller ones stay in
 # place.  Swapped ones need an even side, so a side is 4, 12 or a multiple of 8.
 MIN_SWAP_SIDE = 4
+
+# Largest side an image may have.  A side s costs s**2 orbit steps (2 minutes
+# at 0.44 us each for 2**14) and a fresh-key encrypt peaks near 22 bytes per
+# pixel (5.5 GiB); the swap gather's int32 index would wrap from side 46,344.
+MAX_SIDE = 2**14
 
 # Extra burn-in of the keystream's stream on the stage-1 parameters.  Its
 # pixels start at iterate burn_in + 1001, and stage 1's 2n slopes take
@@ -276,7 +268,8 @@ def keystream_image(ks: KeySchedule, n: int) -> np.ndarray:
     slopes (KEYSTREAM_BURN_OFFSET).  The orbit is folded _BURN_CHUNK
     iterates at a time, so it is never held whole.
     """
-    _check_side((n, n), "side")
+    # (n,) is not a square shape, so a side that is not an integer is refused.
+    _check_side((n, n) if _integer(n) is not None else (n,), "side")
     stream = LambdaStream(ks.stages[0], ks.burn_in + KEYSTREAM_BURN_OFFSET)
     image = np.empty(n * n, dtype=np.uint8)
     for i in range(0, image.size, _BURN_CHUNK):
@@ -290,11 +283,12 @@ def keystream_image(ks: KeySchedule, n: int) -> np.ndarray:
 
 
 def _check_side(shape: tuple[int, ...], name: str) -> None:
-    """Refuse any shape but a square one of side 4, 12 or a multiple of 8."""
+    """Refuse any shape but a square one of side 4, 12 or a multiple of 8 up
+    to MAX_SIDE."""
     n = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
-    if n not in (4, 12) and (n <= 0 or n % 8):
-        raise ValueError(f"{name} must be square with side 4, 12 or a multiple "
-                         f"of 8, got shape {shape}")
+    if n not in (4, 12) and (n <= 0 or n % 8 or n > MAX_SIDE):
+        raise ValueError(f"{name} must be square, at most {MAX_SIDE} pixels wide, "
+                         f"with side 4, 12 or a multiple of 8, got shape {shape}")
 
 
 def _check_image(x: np.ndarray, name: str) -> np.ndarray:

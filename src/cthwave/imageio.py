@@ -14,15 +14,6 @@ import numpy as np
 
 from cthwave.chaos import _integer, _shown
 
-__all__ = [
-    "GrayImage",
-    "PgmError",
-    "read_pgm",
-    "write_pgm",
-    "rescale_to_bytes",
-    "synthetic_test_image",
-]
-
 # One header field after optional whitespace and # comments.  A comment runs
 # to the end of its line (or of the data): the lookahead stops backtracking
 # from splitting it into a token.

@@ -18,8 +18,6 @@ from typing import Union
 from cthwave.chaos import ChaosParams
 from cthwave.cipher import MASK_CACHE_SIZE, KeySchedule
 
-__all__ = ["KeyFileError", "parse_key_file", "load_key_file", "format_key_file"]
-
 # Name in the file -> (constructor field, parser, what the parser accepts).
 # A refused value's line is found by one rule: ChaosParams and KeySchedule
 # start every ValueError message with the value's name as the file writes it

@@ -11,19 +11,6 @@ import numpy as np
 
 from cthwave.chaos import _integer
 
-__all__ = [
-    "MetricsReport",
-    "ZeroVarianceError",
-    "histogram",
-    "mean_intensity",
-    "entropy_normalized",
-    "correlation_adjacent",
-    "npcr",
-    "uaci",
-    "key_space_bits",
-    "analyze_image",
-]
-
 DIRECTIONS = {
     "horizontal": (0, 1),
     "vertical": (1, 0),

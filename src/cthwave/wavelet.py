@@ -26,20 +26,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = [
-    "ButterflyMatrix",
-    "phi",
-    "psi",
-    "classic_haar_matrix",
-    "build_level_matrix",
-    "forward_2d",
-    "inverse_2d",
-    "split_subbands",
-    "merge_subbands",
-    "decompose",
-    "reconstruct",
-]
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 

@@ -140,6 +140,15 @@ class TestParams:
                                              r"integer of over 20 digits$"):
             ChaosParams(0.2, *((n, 4) if name == "N1" else (3, n)), 2.0, 2.5, 0.4)
 
+    @pytest.mark.parametrize("n, shown", [
+        (10**20 - 1, "99999999999999999999"),
+        (10**20, "an integer of over 20 digits"),
+        (-10**20, "an integer of over 20 digits"),
+    ], ids=["20-digits", "21-digits", "-21-digits"])
+    def test_refusal_spells_out_at_most_20_digits(self, n, shown):
+        with pytest.raises(ValueError, match=fr"^N1 {DEGREE_RULE}, got {shown}$"):
+            ChaosParams(0.2, n, 4, 2.0, 2.5, 0.4)
+
     def test_largest_degree_accepted(self):
         n = chaos.MAX_DEGREE
         assert n == 2**20

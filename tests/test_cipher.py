@@ -246,6 +246,19 @@ class TestKeystream:
         with pytest.raises(ValueError, match="side 4, 12 or a multiple of 8"):
             keystream_image(default_keystream_key, 20)
 
+    @pytest.mark.parametrize("n", [64.0, np.float64(64), "64", None],
+                             ids=["float", "float64", "str", "None"])
+    def test_refuses_a_non_integer_side_before_its_stream(
+        self, default_keystream_key, n, monkeypatch
+    ):
+        monkeypatch.setattr(cipher, "LambdaStream", None)
+        with pytest.raises(ValueError, match="side 4, 12 or a multiple of 8"):
+            keystream_image(default_keystream_key, n)
+
+    def test_takes_a_numpy_integer_side(self, default_keystream_key):
+        ks = default_keystream_key
+        assert np.array_equal(keystream_image(ks, np.int64(8)), keystream_image(ks, 8))
+
     def test_entropy(self, default_keystream_key):
         # the raw chaotic bytes are noticeably non-uniform; the whitening
         # happens downstream in the mask-and-XOR stage
@@ -382,6 +395,27 @@ class TestImageChecks:
         monkeypatch.setattr(cipher, "_keystream_mask", None)
         with pytest.raises(ValueError, match=match):
             encrypt(bad, default_keystream_key)
+
+
+class TestMaxSide:
+    def test_gather_index_cannot_wrap(self):
+        assert np.iinfo(np.int32).max >= cipher.MAX_SIDE**2 - 1
+
+    def test_largest_side_accepted(self):
+        cipher._check_side((cipher.MAX_SIDE, cipher.MAX_SIDE), "image")
+
+    @pytest.mark.parametrize("op", ["encrypt", "decrypt", "keystream_image"])
+    def test_larger_side_refused_before_the_mask(self, op, default_keystream_key,
+                                                 monkeypatch):
+        s = cipher.MAX_SIDE + 8
+        image = np.broadcast_to(np.uint8(0), (s, s))  # allocates no pixels
+        monkeypatch.setattr(cipher, "_keystream_mask", None)
+        monkeypatch.setattr(cipher, "LambdaStream", None)
+        call = {"encrypt": lambda: encrypt(image, default_keystream_key),
+                "decrypt": lambda: decrypt(image, default_keystream_key),
+                "keystream_image": lambda: keystream_image(default_keystream_key, s)}
+        with pytest.raises(ValueError, match=f"at most {cipher.MAX_SIDE} pixels wide"):
+            call[op]()
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cthwave import keyfile
+from cthwave import cipher, keyfile
 from cthwave.chaos import ChaosParams
 from cthwave.cipher import (
     MASK_CACHE_SIZE,
@@ -710,6 +710,17 @@ class TestCli:
                    "--out", str(tmp_path / "e.pgm")])
         assert rc == 2
         assert "side 4, 12 or a multiple of 8" in capsys.readouterr().err
+
+    def test_crypt_refuses_a_side_above_the_limit(self, tmp_path, key_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.setattr(cipher, "MAX_SIDE", 16)
+        plain = tmp_path / "p.pgm"
+        write_pgm(GrayImage(np.zeros((24, 24), np.uint8)), plain)
+        rc = main(["encrypt", "--in", str(plain), "--key", str(key_path),
+                   "--out", str(tmp_path / "e.pgm")])
+        assert rc == 2
+        assert "at most 16 pixels wide" in capsys.readouterr().err
+        assert not (tmp_path / "e.pgm").exists()
 
 
 def test_security_script_reports_a_constant_image(tmp_path, monkeypatch, capsys):

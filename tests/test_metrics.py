@@ -164,6 +164,13 @@ class TestCorrelation:
             "diagonal": "0x1.d6812764ae3e0p-1",
         }
 
+    def test_one_pair_is_enough_to_ask_for(self):
+        # A single pair has constant marginals: the budget is valid, the
+        # coefficient undefined.
+        img = np.random.default_rng(4).integers(0, 256, (8, 8), dtype=np.uint8)
+        with pytest.raises(ZeroVarianceError):
+            correlation_adjacent(img, "horizontal", n_pairs=1)
+
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             correlation_adjacent(np.zeros((8, 8), np.uint8), "antidiagonal")

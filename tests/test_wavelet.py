@@ -70,6 +70,11 @@ class TestScalingAndWavelet:
         assert psi(0.75, 0.0) == -1.0
         assert psi(1.2, 0.0) == 0.0
 
+    def test_psi_takes_its_right_piece_at_one_half(self):
+        assert psi(0.5, 0.0) == -1.0
+        p0, _ = _scaling_pair(-1.5)
+        assert psi(0.5, -1.5) == pytest.approx(-p0 * 1.75, rel=1e-15)
+
 
 class TestClassicHaar:
     def test_four_point_matrix(self):
