@@ -38,7 +38,7 @@ class PgmError(ValueError):
 
 @dataclass(frozen=True)
 class GrayImage:
-    """8-bit grayscale image, pixels row-major."""
+    """8-bit grayscale image, pixels row-major; read_pgm's are read-only."""
 
     pixels: np.ndarray
 
@@ -102,8 +102,7 @@ def read_pgm(path: Union[str, Path]) -> GrayImage:
     pos += 1
     if len(data) - pos < width * height:
         raise PgmError(f"{path}: truncated pixel payload")
-    pixels = np.frombuffer(data, np.uint8, width * height, pos)
-    return GrayImage(pixels.reshape(height, width).copy())
+    return GrayImage(np.ndarray((height, width), np.uint8, data, pos))
 
 
 def write_pgm(img: GrayImage, path: Union[str, Path]) -> None:

@@ -104,9 +104,9 @@ def correlation_adjacent(
         rows = rng.integers(0, h - dr, size=n_pairs)
         cols = rng.integers(0, w - dc, size=n_pairs)
         x, y = x[rows, cols], y[rows, cols]
-    x, y = x.astype(np.float64), y.astype(np.float64)
-    ex, ey = x.mean(), y.mean()
-    dx, dy = x - ex, y - ey
+    dx, dy = x.astype(np.float64), y.astype(np.float64)
+    dx -= dx.mean()
+    dy -= dy.mean()
     vx, vy = (dx * dx).mean(), (dy * dy).mean()
     if vx == 0.0 or vy == 0.0:
         raise ZeroVarianceError(
@@ -131,7 +131,8 @@ def uaci(c1: np.ndarray, c2: np.ndarray) -> float:
     c1, c2 = _as_bytes(c1), _as_bytes(c2)
     if c1.shape != c2.shape:
         raise ValueError(f"shape mismatch: {c1.shape} vs {c2.shape}")
-    diff = np.abs(c1.astype(np.int16) - c2.astype(np.int16))
+    diff = np.subtract(c1, c2, dtype=np.int16)
+    np.abs(diff, out=diff)
     return float(diff.mean(dtype=np.float64) / 255.0 * 100.0)
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -51,6 +52,16 @@ def peak_rss_rise_kib(setup: str, statement: str) -> int:
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     return int(run.stdout)
+
+
+def traced_peak_bytes(call) -> int:
+    """Peak bytes tracemalloc counts while call() runs, its result included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_key_schedule(rng: np.random.Generator, **kwargs) -> KeySchedule:

@@ -38,6 +38,7 @@ from cthwave.keyfile import (
 )
 from cthwave.metrics import ANALYZE_PAIRS, analyze_image
 from cthwave.wavelet import decompose
+from conftest import traced_peak_bytes
 
 DEGREE_RULE = r"must be an integer in \[2, 2\*\*20\]"
 EPS_RULE = r"must lie in \(0, 1\)"
@@ -243,6 +244,19 @@ class TestPgm:
         back = read_pgm(path)
         assert (read.call_count, write.call_count) == (1, 1)
         assert np.array_equal(back.pixels, img.pixels)
+
+    def test_pixels_are_a_read_only_view_of_the_file(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        write_pgm(GrayImage(np.zeros((4, 4), np.uint8)), path)
+        pixels = read_pgm(path).pixels
+        assert not pixels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pixels[0, 0] = 1
+
+    def test_read_holds_one_file_sized_buffer(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        write_pgm(GrayImage(synthetic_test_image(512)), path)
+        assert traced_peak_bytes(lambda: read_pgm(path)) <= 1.1 * path.stat().st_size
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
     def test_empty_image_refused(self, shape):

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from cthwave.imageio import synthetic_test_image
 from cthwave.metrics import (
+    ANALYZE_PAIRS,
     KEYSPACE_INSTANCES,
     ZeroVarianceError,
     analyze_image,
@@ -21,6 +22,7 @@ from cthwave.metrics import (
     npcr,
     uaci,
 )
+from conftest import traced_peak_bytes
 
 byte_images = arrays(np.uint8, (4, 4), elements=st.integers(0, 255))
 
@@ -246,6 +248,20 @@ class TestNpcrUaci:
 def test_refuses_images_it_cannot_measure(measure, images, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         measure(*images)
+
+
+# Peak bytes per unit of work on 512² images: a correlation holds its two
+# float64 copies and one product (24 B per pair), uaci its int16 difference
+# and numpy's cast buffers.
+@pytest.mark.parametrize("measure, units, bound", [
+    (lambda a, b: correlation_adjacent(a, "diagonal", ANALYZE_PAIRS), 511 * 511, 25),
+    (lambda a, b: analyze_image(a, ANALYZE_PAIRS), 512 * 511, 25),
+    (uaci, 512 * 512, 2.5),
+], ids=["correlation", "analyze", "uaci"])
+def test_peak_memory_per_unit(measure, units, bound):
+    a = synthetic_test_image(512)
+    b = np.flipud(a).copy()
+    assert traced_peak_bytes(lambda: measure(a, b)) <= bound * units
 
 
 class TestKeySpace:
