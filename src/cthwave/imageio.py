@@ -14,10 +14,10 @@ import numpy as np
 
 from cthwave.chaos import _integer, _shown
 
-# One header field after optional whitespace and # comments.  A comment runs
-# to the end of its line (or of the data): the lookahead stops backtracking
-# from splitting it into a token.
-_HEADER_FIELD = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
+# P5, then three fields, each after optional whitespace and # comments (a
+# comment runs to the end of its line or of the data).  Nothing after the
+# magic can fail to match: a field that the data ends before matches empty.
+_HEADER = re.compile(rb"P5(?![^\s#])" + rb"(?:\s|#[^\n]*)*(\S*)" * 3)
 
 # Rows per block of synthetic_test_image.  A multiple of 8, so every block
 # starts on a multiple of 8 elements and numpy's SIMD sin and cos group the
@@ -64,12 +64,9 @@ def _read_file(path: Union[str, Path]) -> bytes:
         data = os.read(fd, size) if size else b""
         if len(data) < size or not size:
             # Pipes, devices and /proc report size 0, and Linux caps one
-            # read near 2 GiB: read on to end of file.
-            parts, got = [data], len(data)
-            while part := os.read(fd, max(size - got, 1 << 16)):
-                parts.append(part)
-                got += len(part)
-            data = b"".join(parts)
+            # read near 2 GiB: read on to end of file, into one buffer.
+            with open(fd, "rb", buffering=0, closefd=False) as rest:
+                data += rest.readall()
     finally:
         os.close(fd)
     return data
@@ -81,25 +78,23 @@ def read_pgm(path: Union[str, Path]) -> GrayImage:
     write_pgm overwrites in place, so a read racing a write may mix bytes.
     """
     data = _read_file(path)
-    if not re.match(rb"P5(?![^\s#])", data):  # P5, then whitespace or #
+    if (m := _HEADER.match(data)) is None:  # P5, then whitespace or #
         raise PgmError(f"{path}: not a binary PGM (missing P5 magic)")
-    tokens, pos = [], 2
-    for _ in range(3):
-        m = _HEADER_FIELD.match(data, pos)
-        if m is None:
-            raise PgmError(f"{path}: truncated PGM header")
-        tokens.append(m.group(1))
-        pos = m.end()
+    if not m[3]:
+        raise PgmError(f"{path}: truncated PGM header")
     try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
+        # int() would also take a sign and "_" digit groups.
+        if not all(map(bytes.isdigit, m.groups())):
+            raise ValueError
+        width, height, maxval = map(int, m.groups())
+    except ValueError:  # so does int() of over 4,300 digits
         raise PgmError(f"{path}: non-numeric PGM header field") from None
     if width <= 0 or height <= 0:
         raise PgmError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
         raise PgmError(f"{path}: unsupported maxval {maxval} (must be 255)")
     # Exactly one whitespace byte separates the header from the payload.
-    pos += 1
+    pos = m.end() + 1
     if len(data) - pos < width * height:
         raise PgmError(f"{path}: truncated pixel payload")
     return GrayImage(np.ndarray((height, width), np.uint8, data, pos))

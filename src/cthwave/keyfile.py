@@ -15,7 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Union
 
-from cthwave.chaos import ChaosParams
+from cthwave.chaos import ChaosParams, _shown
 from cthwave.cipher import MASK_CACHE_SIZE, KeySchedule
 
 # Name in the file -> (constructor field, parser, what the parser accepts).
@@ -40,7 +40,7 @@ _STAGE_FIELDS = {
     "eps": ("eps", float, "a number"),
 }
 
-_STAGE_RE = re.compile(r"\[\s*stage\s+([0-9]+)\s*\]$")
+_STAGE_RE = re.compile(r"\[\s*stage\s+0*([0-9]+)\s*\]$")
 _ASSIGN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)$")
 
 
@@ -70,9 +70,11 @@ def parse_key_file(text: str) -> KeySchedule:
             continue
         m = _STAGE_RE.match(line)
         if m:
-            idx = int(m.group(1))
+            # The pattern drops leading zeros.  _shown summarizes any number
+            # of over 20 digits, so int() need not read a run of thousands.
+            idx = int(m[1]) if len(m[1]) <= 20 else 10**20
             if not 1 <= idx <= 4:
-                _fail(lineno, f"stage number must be 1..4, got {idx}")
+                _fail(lineno, f"stage number must be 1..4, got {_shown(idx)}")
             if idx in sections:
                 _fail(lineno, f"duplicate [stage {idx}] block")
             sections[idx] = {}

@@ -140,11 +140,11 @@ def key_space_bits(precision: float) -> float:
     """Brute-force resistance in bits for parameters known to a precision.
 
     Each of the KEYSPACE_INSTANCES real parameters contributes
-    log2(1/precision) bits.
+    -log2(precision) bits (1/precision overflows below about 5.6e-309).
     """
     if not 0.0 < precision < 1.0:
         raise ValueError(f"precision must lie in (0, 1), got {precision}")
-    return KEYSPACE_INSTANCES * math.log2(1.0 / precision)
+    return KEYSPACE_INSTANCES * -math.log2(precision)
 
 
 def analyze_image(img: np.ndarray, n_pairs: int = DEFAULT_PAIRS) -> MetricsReport:

@@ -253,10 +253,26 @@ class TestPgm:
         with pytest.raises(ValueError, match="read-only"):
             pixels[0, 0] = 1
 
-    def test_read_holds_one_file_sized_buffer(self, tmp_path):
+    @pytest.mark.parametrize("fifo, bound", [
+        (False, 1.1),
+        pytest.param(True, 1.2, marks=pytest.mark.skipif(
+            not hasattr(os, "mkfifo"), reason="POSIX FIFOs")),
+    ], ids=["file", "fifo"])
+    def test_read_holds_one_file_sized_buffer(self, tmp_path, fifo, bound):
         path = tmp_path / "img.pgm"
         write_pgm(GrayImage(synthetic_test_image(512)), path)
-        assert traced_peak_bytes(lambda: read_pgm(path)) <= 1.1 * path.stat().st_size
+        size = path.stat().st_size
+        if fifo:
+            # A FIFO reports size 0, so read_pgm reads it to end of file.  The
+            # writer's bytes are made before tracing starts.
+            data, path = path.read_bytes(), tmp_path / "pipe.pgm"
+            os.mkfifo(path)
+            thread = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+            thread.start()
+        assert traced_peak_bytes(lambda: read_pgm(path)) <= bound * size
+        if fifo:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
     def test_empty_image_refused(self, shape):
@@ -276,12 +292,23 @@ class TestPgm:
     @pytest.mark.parametrize("data, error, message", [
         (b"P5\n4 four\n255\n" + bytes(16), PgmError,
          "{path}: non-numeric PGM header field"),
+        # int() would read these three as 16, 16 and 255.
+        (b"P5\n+16 16\n255\n" + bytes(256), PgmError,
+         "{path}: non-numeric PGM header field"),
+        (b"P5\n1_6 16\n255\n" + bytes(256), PgmError,
+         "{path}: non-numeric PGM header field"),
+        (b"P5\n16 16\n2_55\n" + bytes(256), PgmError,
+         "{path}: non-numeric PGM header field"),
+        # int() refuses over 4,300 digits with a ValueError of its own.
+        (b"P5\n" + b"9" * 5000 + b" 16\n255\n", PgmError,
+         "{path}: non-numeric PGM header field"),
         (b"P5\n0 4\n255\n", PgmError, "{path}: bad dimensions 0x4"),
         pytest.param(None, IsADirectoryError,
                      f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {{path!r}}",
                      marks=pytest.mark.skipif(
                          os.name == "nt", reason="Windows cannot open a directory")),
-    ], ids=["non-numeric", "zero-width", "directory"])
+    ], ids=["non-numeric", "signed", "underscore-width", "underscore-maxval",
+            "5000-digit-width", "zero-width", "directory"])
     def test_refused_file_names_its_fault(self, tmp_path, data, error, message):
         path = tmp_path / "bad.pgm"
         if data is None:
@@ -394,6 +421,8 @@ class TestKeyFile:
 
     @pytest.mark.parametrize("old, new, message", [
         ("[stage 4]", "[stage 5]", "line 29: stage number must be 1..4, got 5"),
+        ("[stage 4]", "[stage " + "9" * 5000 + "]",
+         "line 29: stage number must be 1..4, got an integer of over 20 digits"),
         ("[stage 4]", "[stage 2]", "line 29: duplicate [stage 2] block"),
         ("burn_in = 16", "x0 0.2", "line 1: expected 'name = value', got 'x0 0.2'"),
         ("x0 = 0.31", "xx = 0.31", "line 14: unknown stage key 'xx'"),
@@ -402,9 +431,9 @@ class TestKeyFile:
         ("mode = keystream", "burn_in = 8", "line 3: duplicate global key 'burn_in'"),
         ("N2 = 4\n", "", "stage 1: missing parameter 'N2'"),
         (GOOD_KEY[GOOD_KEY.index("[stage 4]"):], "", "missing [stage 4] block"),
-    ], ids=["stage-5", "duplicate-stage", "not-name-value", "unknown-stage-key",
-            "non-numeric", "duplicate-stage-key", "duplicate-global-key",
-            "missing-parameter", "missing-stage"])
+    ], ids=["stage-5", "5000-digit-stage", "duplicate-stage", "not-name-value",
+            "unknown-stage-key", "non-numeric", "duplicate-stage-key",
+            "duplicate-global-key", "missing-parameter", "missing-stage"])
     def test_refused_text_names_its_line_or_block(self, old, new, message):
         with pytest.raises(KeyFileError, match=f"^{re.escape(message)}$"):
             parse_key_file(GOOD_KEY.replace(old, new, 1))

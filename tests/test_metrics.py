@@ -274,6 +274,11 @@ class TestKeySpace:
         assert bits == pytest.approx(24 * math.log2(1000), rel=1e-12)
         assert bits > 200
 
+    # 1/precision would overflow to inf below about 5.6e-309.
+    @pytest.mark.parametrize("p, bits", [(1e-310, 24715.145025961978), (5e-324, 25776.0)])
+    def test_subnormal_precision(self, p, bits):
+        assert key_space_bits(p) == pytest.approx(bits, rel=1e-12)
+
     def test_monotone_in_precision(self):
         precisions = [10.0**-k for k in range(1, 9)]
         bits = [key_space_bits(p) for p in precisions]
