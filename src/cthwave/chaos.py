@@ -107,9 +107,12 @@ def nonnegative_int(name: str, v: object) -> int:
 
 
 def _shown(v: object) -> str:
-    """repr(v), but an integer of over 20 digits is not spelled out."""
+    """repr(v), but an integer of over 20 digits is not spelled out and a
+    string of over 40 characters is cut to its first 40."""
     if isinstance(v, int) and abs(v) >= 10**20:
         return "an integer of over 20 digits"
+    if isinstance(v, str) and len(v) > 40:
+        return f"{v[:40]!r}... ({len(v)} characters)"
     return repr(v)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from cthwave.chaos import (_BURN_CHUNK, DEFAULT_BURN_IN, MAX_BURN_IN, ChaosParams,
                            LambdaStream, _integer, _shown, nonnegative_int)
+from cthwave.imageio import _UINT8, byte_image
 from cthwave.wavelet import ButterflyMatrix, build_level_matrix, forward_2d, inverse_2d
 # Unused here; bench/tracer.py wraps them by name in this module.
 from cthwave.wavelet import merge_subbands, split_subbands  # noqa: F401
@@ -46,9 +47,6 @@ MASK_CACHE_SIZE = 8
 
 # Elements per block of quantize's mod-256 step: 128 KiB of float64.
 _QUANTIZE_BLOCK = 2**14
-
-# Compared with instead of np.uint8, which numpy converts on every comparison.
-_UINT8 = np.dtype(np.uint8)
 
 
 class CipherModeError(ValueError):
@@ -291,15 +289,6 @@ def _check_side(shape: tuple[int, ...], name: str) -> None:
                          f"with side 4, 12 or a multiple of 8, got shape {shape}")
 
 
-def _check_image(x: np.ndarray, name: str) -> np.ndarray:
-    """Refuse anything but a square uint8 image of a supported side."""
-    x = np.asarray(x)
-    if x.dtype != _UINT8:
-        raise ValueError(f"{name} must have dtype uint8, got {x.dtype}")
-    _check_side(x.shape, name)
-    return x
-
-
 @lru_cache(maxsize=MASK_CACHE_SIZE)
 def _keystream_mask(ks: KeySchedule, n: int) -> np.ndarray:
     """Read-only keystream-mode mask quantize(F) for key ks at side n."""
@@ -315,7 +304,8 @@ def encrypt(m: np.ndarray, ks: KeySchedule) -> np.ndarray:
     pseudorandom image (keystream mode), whose quantized mask is cached
     per (key, side).
     """
-    m = _check_image(m, "plaintext")
+    m = byte_image(m, "plaintext")
+    _check_side(m.shape, "plaintext")
     if ks.mode == "literal":
         mask = quantize(chaotic_image(m, ks))
     else:
@@ -330,7 +320,8 @@ def decrypt(e: np.ndarray, ks: KeySchedule) -> np.ndarray:
             "literal mode cannot be decrypted without the plaintext; "
             "use keystream mode"
         )
-    e = _check_image(e, "ciphertext")
+    e = byte_image(e, "ciphertext")
+    _check_side(e.shape, "ciphertext")
     return xor_combine(e, _keystream_mask(ks, e.shape[0]))
 
 
@@ -339,6 +330,8 @@ def verify_literal_roundtrip(e: np.ndarray, m: np.ndarray, ks: KeySchedule) -> b
     keystream key is refused (decrypt inverts its ciphertexts)."""
     if ks.mode != "literal":
         raise CipherModeError("verify_literal_roundtrip needs a literal-mode key")
-    e = _check_image(e, "ciphertext")
-    m = _check_image(m, "plaintext")
+    e = byte_image(e, "ciphertext")
+    _check_side(e.shape, "ciphertext")
+    m = byte_image(m, "plaintext")
+    _check_side(m.shape, "plaintext")
     return bool(np.array_equal(xor_combine(e, quantize(chaotic_image(m, ks))), m))

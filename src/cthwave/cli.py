@@ -69,6 +69,9 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     n, side = img.pixels.shape
     if n != side or n % 4:
         raise ValueError(f"image shape {img.pixels.shape} not divisible into 2 levels")
+    if n > cipher.MAX_SIDE:
+        raise ValueError(f"image must be at most {cipher.MAX_SIDE} pixels wide, "
+                         f"got shape {img.pixels.shape}")
     f = wavelet.decompose(img.pixels, cipher._stage_matrices(ks, n)[:2])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

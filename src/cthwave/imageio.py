@@ -8,7 +8,7 @@ import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -36,6 +36,18 @@ class PgmError(ValueError):
     """Malformed or unsupported PGM data."""
 
 
+def byte_image(x: object, name: str, like: Optional[np.ndarray] = None) -> np.ndarray:
+    """np.asarray(x) if it is a byte image, a non-empty 2-D uint8 array, of
+    like's shape when like is given; else a ValueError naming name."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.dtype != _UINT8 or not x.size:
+        raise ValueError(f"{name} must be a non-empty 2-D uint8 array, "
+                         f"got {x.dtype} of shape {x.shape}")
+    if like is not None and x.shape != like.shape:
+        raise ValueError(f"shape mismatch: {like.shape} vs {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class GrayImage:
     """8-bit grayscale image, pixels row-major; read_pgm's are read-only."""
@@ -43,14 +55,7 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        px = np.asarray(self.pixels)
-        if px.ndim != 2:
-            raise ValueError(f"pixels must be 2-D, got shape {px.shape}")
-        if px.dtype != _UINT8:
-            raise ValueError(f"pixels must be uint8, got {px.dtype}")
-        if 0 in px.shape:
-            raise ValueError(f"pixels must not be empty, got shape {px.shape}")
-        object.__setattr__(self, "pixels", px)
+        object.__setattr__(self, "pixels", byte_image(self.pixels, "pixels"))
 
 
 def _read_file(path: Union[str, Path]) -> bytes:

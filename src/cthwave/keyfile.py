@@ -82,12 +82,13 @@ def parse_key_file(text: str) -> KeySchedule:
             continue
         m = _ASSIGN_RE.match(line)
         if not m:
-            _fail(lineno, f"expected 'name = value', got {line!r}")
+            _fail(lineno, f"expected 'name = value', got {_shown(line)}")
         name, value = m.groups()
         table = _STAGE_FIELDS if current else _GLOBAL_FIELDS
         fields = sections[current]
         if name not in table:
-            _fail(lineno, f"unknown {'stage' if current else 'global'} key {name!r}")
+            _fail(lineno, f"unknown {'stage' if current else 'global'} key "
+                          f"{_shown(name)}")
         if name in fields:
             _fail(lineno, f"duplicate key {name!r} in stage {current}" if current
                   else f"duplicate global key {name!r}")
@@ -98,7 +99,7 @@ def parse_key_file(text: str) -> KeySchedule:
                 raise ValueError(value)
             fields[name] = (parse(value), lineno)
         except (ValueError, KeyError):
-            _fail(lineno, f"{name} must be {accepts}, got {value!r}")
+            _fail(lineno, f"{name} must be {accepts}, got {_shown(value)}")
 
     params = []
     for idx in range(1, 5):
@@ -123,8 +124,14 @@ def _build(cls, table: dict, fields: dict, where: str, **given):
 
 
 def load_key_file(path: Union[str, Path]) -> KeySchedule:
-    # utf-8-sig drops the byte-order mark some editors put first.
-    return parse_key_file(Path(path).read_text(encoding="utf-8-sig"))
+    """parse_key_file of a file's text; every refusal starts with the path."""
+    try:
+        # utf-8-sig drops the byte-order mark some editors put first.
+        return parse_key_file(Path(path).read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        raise KeyFileError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    except KeyFileError as exc:
+        raise KeyFileError(f"{path}: {exc}") from exc
 
 
 def format_key_file(ks: KeySchedule) -> str:

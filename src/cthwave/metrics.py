@@ -10,6 +10,7 @@ from typing import Optional
 import numpy as np
 
 from cthwave.chaos import _integer
+from cthwave.imageio import byte_image
 
 DIRECTIONS = {
     "horizontal": (0, 1),
@@ -26,9 +27,6 @@ DEFAULT_PAIRS = 2000
 ANALYZE_PAIRS = 1_000_000
 
 KEYSPACE_INSTANCES = 24  # six control parameters used in four stages
-
-# Compared with instead of np.uint8, which numpy converts on every comparison.
-_UINT8 = np.dtype(np.uint8)
 
 
 class ZeroVarianceError(ArithmeticError):
@@ -47,21 +45,14 @@ class MetricsReport:
     corr_diagonal: Optional[float]
 
 
-def _as_bytes(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img)
-    if img.dtype != _UINT8:
-        raise ValueError(f"expected a uint8 image, got dtype {img.dtype}")
-    return img
-
-
 def histogram(img: np.ndarray) -> np.ndarray:
     """Counts per grey level, 256 bins."""
-    return np.bincount(_as_bytes(img).ravel(), minlength=256)
+    return np.bincount(byte_image(img, "image").ravel(), minlength=256)
 
 
 def mean_intensity(img: np.ndarray) -> float:
     """Arithmetic mean of all pixels."""
-    return float(np.mean(_as_bytes(img), dtype=np.float64))
+    return float(np.mean(byte_image(img, "image"), dtype=np.float64))
 
 
 def entropy_normalized(img: np.ndarray) -> float:
@@ -70,10 +61,7 @@ def entropy_normalized(img: np.ndarray) -> float:
     Empty bins contribute zero (the x log(1/x) -> 0 limit).
     """
     counts = histogram(img)
-    n = counts.sum()
-    if n == 0:
-        raise ValueError("empty image")
-    p = counts[counts > 0] / n
+    p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log2(p)).sum() / 8.0) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
@@ -87,7 +75,7 @@ def correlation_adjacent(
     by a generator seeded with 0.  Uses population (1/N) variance and
     covariance estimators.
     """
-    img = _as_bytes(img)
+    img = byte_image(img, "image")
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {sorted(DIRECTIONS)}")
     if _integer(n_pairs) is None:
@@ -117,9 +105,8 @@ def correlation_adjacent(
 
 def npcr(c1: np.ndarray, c2: np.ndarray) -> float:
     """Number-of-pixels change rate between two images, in percent."""
-    c1, c2 = _as_bytes(c1), _as_bytes(c2)
-    if c1.shape != c2.shape:
-        raise ValueError(f"shape mismatch: {c1.shape} vs {c2.shape}")
+    c1 = byte_image(c1, "c1")
+    c2 = byte_image(c2, "c2", like=c1)
     return float(np.count_nonzero(c1 != c2) / c1.size * 100.0)
 
 
@@ -128,9 +115,8 @@ def uaci(c1: np.ndarray, c2: np.ndarray) -> float:
 
     Uses the absolute pixel difference scaled by 255.
     """
-    c1, c2 = _as_bytes(c1), _as_bytes(c2)
-    if c1.shape != c2.shape:
-        raise ValueError(f"shape mismatch: {c1.shape} vs {c2.shape}")
+    c1 = byte_image(c1, "c1")
+    c2 = byte_image(c2, "c2", like=c1)
     diff = np.subtract(c1, c2, dtype=np.int16)
     np.abs(diff, out=diff)
     return float(diff.mean(dtype=np.float64) / 255.0 * 100.0)
@@ -149,6 +135,7 @@ def key_space_bits(precision: float) -> float:
 
 def analyze_image(img: np.ndarray, n_pairs: int = DEFAULT_PAIRS) -> MetricsReport:
     """Run the single-image battery; undefined correlations become None."""
+    img = byte_image(img, "image")
     corrs = {}
     for direction in DIRECTIONS:
         try:

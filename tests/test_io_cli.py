@@ -20,6 +20,7 @@ from cthwave.cipher import (
     _stage_matrices,
     decrypt,
     encrypt,
+    verify_literal_roundtrip,
 )
 from cthwave.cli import main
 from cthwave.imageio import (
@@ -36,7 +37,16 @@ from cthwave.keyfile import (
     load_key_file,
     parse_key_file,
 )
-from cthwave.metrics import ANALYZE_PAIRS, analyze_image
+from cthwave.metrics import (
+    ANALYZE_PAIRS,
+    analyze_image,
+    correlation_adjacent,
+    entropy_normalized,
+    histogram,
+    mean_intensity,
+    npcr,
+    uaci,
+)
 from cthwave.wavelet import decompose
 from conftest import traced_peak_bytes
 
@@ -277,16 +287,10 @@ class TestPgm:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
     def test_empty_image_refused(self, shape):
         # read_pgm refuses a zero dimension, so write_pgm must never see one.
-        with pytest.raises(ValueError, match="must not be empty"):
-            GrayImage(np.zeros(shape, np.uint8))
-
-    @pytest.mark.parametrize("pixels, message", [
-        (np.zeros(4, np.uint8), "pixels must be 2-D, got shape (4,)"),
-        (np.zeros((2, 2), np.int16), "pixels must be uint8, got int16"),
-    ], ids=["1-D", "int16"])
-    def test_refuses_pixels_it_cannot_write(self, pixels, message):
+        message = ("pixels must be a non-empty 2-D uint8 array, "
+                   f"got uint8 of shape {shape}")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            GrayImage(pixels)
+            GrayImage(np.zeros(shape, np.uint8))
 
     # {path} is the file read_pgm was given.
     @pytest.mark.parametrize("data, error, message", [
@@ -335,6 +339,54 @@ class TestPgm:
         out = rescale_to_bytes(v)
         assert out[0, 0] == 0 and out[1, 1] == 255
         assert np.all(rescale_to_bytes(np.full((3, 3), 7.0)) == 128)
+
+
+# Arrays that are no byte image (a non-empty 2-D uint8 array).
+MALFORMED_IMAGES = {
+    "1-D": np.zeros(16, np.uint8),
+    "3-D": np.zeros((16, 16, 3), np.uint8),
+    "0x0": np.zeros((0, 0), np.uint8),
+    "0x5": np.zeros((0, 5), np.uint8),
+    "int16": np.zeros((16, 16), np.int16),
+    "bool": np.zeros((16, 16), bool),
+}
+
+_GOOD = np.zeros((16, 16), np.uint8)
+
+# Taker -> (the name its refusal gives the image, a call on the image x with
+# keystream key ks and literal key lit).  A pair taker is called with the bad
+# image in each place.
+IMAGE_TAKERS = {
+    "GrayImage": ("pixels", lambda x, ks, lit: GrayImage(x)),
+    "encrypt": ("plaintext", lambda x, ks, lit: encrypt(x, ks)),
+    "decrypt": ("ciphertext", lambda x, ks, lit: decrypt(x, ks)),
+    "verify-e": ("ciphertext",
+                 lambda x, ks, lit: verify_literal_roundtrip(x, _GOOD, lit)),
+    "verify-m": ("plaintext",
+                 lambda x, ks, lit: verify_literal_roundtrip(_GOOD, x, lit)),
+    "histogram": ("image", lambda x, ks, lit: histogram(x)),
+    "mean_intensity": ("image", lambda x, ks, lit: mean_intensity(x)),
+    "entropy_normalized": ("image", lambda x, ks, lit: entropy_normalized(x)),
+    "correlation_adjacent": ("image",
+                             lambda x, ks, lit: correlation_adjacent(x, "vertical")),
+    "npcr-c1": ("c1", lambda x, ks, lit: npcr(x, _GOOD)),
+    "npcr-c2": ("c2", lambda x, ks, lit: npcr(_GOOD, x)),
+    "uaci-c1": ("c1", lambda x, ks, lit: uaci(x, _GOOD)),
+    "uaci-c2": ("c2", lambda x, ks, lit: uaci(_GOOD, x)),
+    "analyze_image": ("image", lambda x, ks, lit: analyze_image(x)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_IMAGES)
+@pytest.mark.parametrize("taker", IMAGE_TAKERS)
+def test_every_taker_refuses_a_malformed_image(taker, case, default_keystream_key,
+                                               default_literal_key):
+    name, call = IMAGE_TAKERS[taker]
+    x = MALFORMED_IMAGES[case]
+    message = (f"{name} must be a non-empty 2-D uint8 array, "
+               f"got {x.dtype} of shape {x.shape}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(x, default_keystream_key, default_literal_key)
 
 
 class TestKeyFile:
@@ -435,6 +487,21 @@ class TestKeyFile:
             "unknown-stage-key", "non-numeric", "duplicate-stage-key",
             "duplicate-global-key", "missing-parameter", "missing-stage"])
     def test_refused_text_names_its_line_or_block(self, old, new, message):
+        with pytest.raises(KeyFileError, match=f"^{re.escape(message)}$"):
+            parse_key_file(GOOD_KEY.replace(old, new, 1))
+
+    # A quoted value, name or line of over 40 characters is cut to its first
+    # 40, so the message stays short and still names the line.
+    @pytest.mark.parametrize("old, new, message", [
+        ("burn_in = 16", "burn_in = " + "9" * 5000,
+         "line 1: burn_in must be an integer, got '" + "9" * 40
+         + "'... (5000 characters)"),
+        ("burn_in = 16", "x" * 5000 + " = 1",
+         "line 1: unknown global key '" + "x" * 40 + "'... (5000 characters)"),
+        ("burn_in = 16", "x" * 5000,
+         "line 1: expected 'name = value', got '" + "x" * 40 + "'... (5000 characters)"),
+    ], ids=["5000-digit-value", "5000-character-name", "5000-character-line"])
+    def test_long_refused_text_is_cut(self, old, new, message):
         with pytest.raises(KeyFileError, match=f"^{re.escape(message)}$"):
             parse_key_file(GOOD_KEY.replace(old, new, 1))
 
@@ -716,7 +783,22 @@ class TestCli:
         rc = main([command, "--in", str(image_path), "--key", str(key),
                    out, str(tmp_path / "out")])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {key}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    # Which of encrypt's two files is at fault: the key file names itself.
+    @pytest.mark.parametrize("data, message", [
+        (b"\377", "not UTF-8 text at byte 0"),
+        (b"burn_in = 16\n", "missing [stage 1] block"),
+    ], ids=["not-utf-8", "missing-stage"])
+    def test_refused_key_file_is_named(self, tmp_path, image_path, data, message,
+                                       capsys):
+        key = tmp_path / "bad.key"
+        key.write_bytes(data)
+        rc = main(["encrypt", "--in", str(image_path), "--key", str(key),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {key}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     # Stage 1's burn-in reaches a tan pole, and again after the perturbation.
@@ -764,6 +846,18 @@ class TestCli:
         assert rc == 2
         assert "at most 16 pixels wide" in capsys.readouterr().err
         assert not (tmp_path / "e.pgm").exists()
+
+    def test_transform_refuses_a_side_above_the_limit(self, tmp_path, key_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.setattr(cipher, "MAX_SIDE", 16)
+        plain = tmp_path / "p.pgm"
+        write_pgm(GrayImage(np.zeros((24, 24), np.uint8)), plain)
+        rc = main(["transform", "--in", str(plain), "--key", str(key_path),
+                   "--out-dir", str(tmp_path / "bands")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: image must be at most 16 pixels wide, got shape (24, 24)\n")
+        assert not (tmp_path / "bands").exists()
 
 
 def test_security_script_reports_a_constant_image(tmp_path, monkeypatch, capsys):
