@@ -1,4 +1,4 @@
-"""Classic and sloped Haar wavelets, butterfly transforms, 2-D sub-band coding.
+"""Sloped Haar butterfly transforms and 2-D sub-band coding.
 
 The sloped variant replaces the flat scaling step by a line of slope
 lambda in [-2, 2], which makes the scaling coefficients
@@ -13,9 +13,7 @@ applied in O(n^2) per 2-D transform with no BLAS.  Every block's
 coefficients are positive, so its |det| is at least (8/9) s^2 (s^2 = 1
 raw, 1/2 normalized) and the matrix is invertible by construction.
 Multilevel behaviour comes from recursive application to the LL quadrant,
-in place on one n x n array (the pyramid layout of Mallat, 1989).  The
-classic multi-level Haar matrix, the lambda = 0 reference, is returned as a
-plain array.
+in place on one n x n array (the pyramid layout of Mallat, 1989).
 """
 
 from __future__ import annotations
@@ -29,60 +27,10 @@ import numpy as np
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _check_slopes(lam) -> None:
-    """Refuse a slope, or any of an array of slopes, outside [-2, 2] (NaN
-    included), the range on which phi stays nonnegative and p0, p1 lie in
-    [2/3, 5/3]."""
-    lam = np.asarray(lam)
-    outside = ~(np.abs(lam) <= 2.0)
-    if outside.any():
-        raise ValueError(f"lambda must lie in [-2, 2], got {lam[outside][0]}")
-
-
 def _scaling_pair(lam):
     """(p0, p1) of a slope or, elementwise, of an array of slopes."""
     q = lam * lam / 24.0 + 1.0
     return q - lam / 4.0, q + lam / 4.0
-
-
-def phi(x, lam: float):
-    """Sloped scaling function: lam*(x - 1/2) + 1 on [0, 1), 0 elsewhere."""
-    _check_slopes(lam)
-    x = np.asarray(x, dtype=float)
-    inside = (x >= 0.0) & (x < 1.0)
-    val = lam * (x - 0.5) + 1.0
-    out = np.where(inside, val, 0.0)
-    return out if out.ndim else float(out)
-
-
-def psi(x, lam: float):
-    """Sloped Haar wavelet, piecewise linear on [0, 1/2) and [1/2, 1)."""
-    _check_slopes(lam)
-    x = np.asarray(x, dtype=float)
-    p0, p1 = _scaling_pair(lam)
-    left = p1 * (2.0 * lam * x - lam / 2.0 + 1.0)
-    right = -p0 * (2.0 * lam * x - 3.0 * lam / 2.0 + 1.0)
-    out = np.where(
-        (x >= 0.0) & (x < 0.5),
-        left,
-        np.where((x >= 0.5) & (x < 1.0), right, 0.0),
-    )
-    return out if out.ndim else float(out)
-
-
-def classic_haar_matrix(n: int) -> np.ndarray:
-    """Standard orthonormal Haar transform matrix.
-
-    Built by the Kronecker recursion H_{2m} = (1/sqrt 2) [H_m (x) (1, 1);
-    I_m (x) (1, -1)]; for n = 4 this is exactly the textbook matrix with
-    rows (1/2, 1/2, 1/2, 1/2), (1/2, 1/2, -1/2, -1/2), (1/sqrt2, -1/sqrt2,
-    0, 0), (0, 0, 1/sqrt2, -1/sqrt2).  n must be a power of two >= 2.
-    """
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
-    top = np.kron(classic_haar_matrix(n // 2), [1.0, 1.0]) if n > 2 else np.ones((1, 2))
-    bottom = np.kron(np.eye(n // 2), [1.0, -1.0])
-    return _INV_SQRT2 * np.vstack([top, bottom])
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +61,10 @@ class ButterflyMatrix:
         if lam.ndim != 1 or lam.size != 2 * n or n < 2 or n % 2:
             raise ValueError(f"need a 1-D array of 2n slopes with n even and >= 2, "
                              f"got shape {lam.shape}")
-        _check_slopes(lam)
+        # The |det| bound above holds only for slopes in [-2, 2]; NaN is refused too.
+        outside = ~(np.abs(lam) <= 2.0)
+        if outside.any():
+            raise ValueError(f"lambda must lie in [-2, 2], got {lam[outside][0]}")
         scale = _INV_SQRT2 if self.normalized else 1.0
         p0, p1 = _scaling_pair(lam)
         p0, p1 = scale * p0, scale * p1

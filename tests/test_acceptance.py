@@ -22,17 +22,10 @@ from cthwave.metrics import (
     npcr,
     uaci,
 )
-from cthwave.wavelet import (
-    build_level_matrix,
-    classic_haar_matrix,
-    decompose,
-    phi,
-    psi,
-    reconstruct,
-)
+from cthwave.wavelet import build_level_matrix, decompose, reconstruct
 
 from conftest import random_chaos_params, random_key_schedule, stream_matrices
-from reference import REFERENCE_LAMBDAS, REFERENCE_MATRIX
+from reference import REFERENCE_LAMBDAS, REFERENCE_MATRIX, classic_haar_matrix, phi, psi
 
 
 def report(num, ok, detail):

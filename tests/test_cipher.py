@@ -17,7 +17,6 @@ from cthwave import cipher
 from cthwave.chaos import ChaosParams, LambdaStream
 from cthwave.cipher import (
     MASK_CACHE_SIZE,
-    MIN_SWAP_SIDE,
     CipherModeError,
     KeySchedule,
     chaotic_image,
@@ -34,7 +33,7 @@ from cthwave.metrics import entropy_normalized, npcr
 from cthwave.wavelet import decompose, reconstruct
 
 import reference as ref
-from conftest import peak_rss_rise_kib, random_key_schedule, reference_swap_perm
+from conftest import peak_rss_rise_kib, random_key_schedule
 
 
 def random_quadrants(q, seed):
@@ -72,10 +71,10 @@ class TestSpiralSwap:
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 64])
     def test_record_matches_the_reference_generator(self, n):
-        # Exactly the pairs conftest's per-cell generator lists are exchanged
-        # (the name predates the deletion of the swap record).
-        perm = swapped_arange(n).reshape(-1)
-        assert np.array_equal(perm, reference_swap_perm(2 * n))
+        # Exactly the pairs the specification's per-cell walk lists are
+        # exchanged (the name predates the deletion of the swap record).
+        f = np.arange(4 * n * n).reshape(2 * n, 2 * n)
+        assert np.array_equal(spiral_swap(f), ref.spiral_swap(f))
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_values_permuted_not_modified(self, n):
@@ -347,25 +346,25 @@ class TestEncryptDecrypt:
 
 
 class TestImageChecks:
-    BAD = [
+    # test_io_cli.py's MALFORMED_IMAGES checks the whole refusal of bool,
+    # 1-D, 3-D and empty arrays at every taker; these rows are other dtypes
+    # and the sides the cipher refuses.
+    BAD = {
         # int32 values above 255 used to be cast silently and lost
-        np.arange(256, 512, dtype=np.int32).reshape(16, 16),
-        np.zeros((16, 16), dtype=np.float64),
-        np.zeros((16, 16), dtype=np.int64),
-        np.zeros((16, 16), dtype=bool),
-        np.zeros((16, 16, 3), dtype=np.uint8),
-        np.zeros(256, dtype=np.uint8),
-        np.zeros((16, 20), dtype=np.uint8),
-        np.zeros((6, 6), dtype=np.uint8),
-        np.zeros((0, 0), dtype=np.uint8),
-        [[1, 2, 3, 4]] * 4,
+        "int32-above-255": np.arange(256, 512, dtype=np.int32).reshape(16, 16),
+        "float64": np.zeros((16, 16), dtype=np.float64),
+        "int64": np.zeros((16, 16), dtype=np.int64),
+        "non-square": np.zeros((16, 20), dtype=np.uint8),
+        "side-6": np.zeros((6, 6), dtype=np.uint8),
+        "list": [[1, 2, 3, 4]] * 4,
         # level-2 quadrants of side 5 and 7 cannot be spiral-swapped
-        np.zeros((20, 20), dtype=np.uint8),
-        np.zeros((28, 28), dtype=np.uint8),
-    ]
+        "side-20": np.zeros((20, 20), dtype=np.uint8),
+        "side-28": np.zeros((28, 28), dtype=np.uint8),
+    }
 
-    @pytest.mark.parametrize("bad", BAD, ids=range(len(BAD)))
-    def test_bad_images_rejected(self, bad, default_keystream_key, default_literal_key):
+    @pytest.mark.parametrize("case", BAD)
+    def test_bad_images_rejected(self, case, default_keystream_key, default_literal_key):
+        bad = self.BAD[case]
         good = np.zeros((16, 16), np.uint8)
         for call in (
             lambda: encrypt(bad, default_keystream_key),
@@ -601,19 +600,6 @@ class TestStageMatrixCache:
         assert self.differing_stages(cold_stage_cache, default_literal_key, other) == [k]
 
 
-def reference_mask_perm(n):
-    """The level-2 swap on the top-left n/2 quadrant, then the level-1 swap,
-    composed from the per-cell reference pairs."""
-    h = n // 2
-    perm = np.arange(n * n).reshape(n, n)
-    if h // 2 >= MIN_SWAP_SIDE:
-        perm[:h, :h] = perm[:h, :h].reshape(-1)[reference_swap_perm(h)].reshape(h, h)
-    perm = perm.reshape(-1)
-    if h >= MIN_SWAP_SIDE:
-        perm = perm[reference_swap_perm(n)]
-    return perm
-
-
 class TestMaskPerm:
     def test_build_retains_only_the_permutation(self):
         cipher._mask_perm.cache_clear()
@@ -635,7 +621,9 @@ class TestMaskPerm:
     def test_matches_the_sub_band_composition(self, n):
         perm = cipher._mask_perm(n)
         assert perm.dtype == np.int32 and perm.shape == (n * n,)
-        assert np.array_equal(perm, reference_mask_perm(n))
+        # the gather is the specification's two swaps applied to an arange
+        spec = ref.spiral_swaps(np.arange(n * n).reshape(n, n))
+        assert np.array_equal(perm, spec.reshape(-1))
         assert np.array_equal(np.sort(perm), np.arange(n * n))
         assert not perm.flags.writeable
         with pytest.raises(ValueError):

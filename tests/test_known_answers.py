@@ -7,8 +7,12 @@ synthetic_test_image(n).  The keys are the default fixture key and two
 n in {8, 64, 256}, in both modes and both normalizations.  The first 32
 slopes of the worked-example stream are stored as ``float.hex`` strings.
 
-The digests were recorded from the dense-matrix implementation.  A change
-that alters any byte fails here; regenerating the digests is not a fix.
+The digests were recorded from a dense-matrix implementation that is gone.
+The v1 specification in tests/reference.py, which builds the pipeline again
+from the paper's definitions, recomputes them at n = 8 and 64 and for the
+default key at 256, so they are what those definitions give, not only what
+the library once gave.  A change that alters any byte fails here;
+regenerating the digests is not a fix.
 """
 
 import hashlib
@@ -21,8 +25,8 @@ from cthwave.chaos import LambdaStream
 from cthwave.cipher import chaotic_image, encrypt, keystream_image, quantize
 from cthwave.imageio import synthetic_test_image
 
+import reference as ref
 from conftest import random_key_schedule
-from reference import REFERENCE_PARAMS
 
 LAMBDAS_HEX = [
     "-0x1.768156372bdeap+0", "-0x1.19d9785dc98c8p-3",
@@ -230,7 +234,7 @@ def case_id(case):
 
 
 def test_first_lambdas():
-    stream = LambdaStream(REFERENCE_PARAMS, 64)
+    stream = LambdaStream(ref.REFERENCE_PARAMS, 64)
     assert [next(stream).hex() for _ in range(32)] == LAMBDAS_HEX
 
 
@@ -249,3 +253,27 @@ def test_mask_and_ciphertext(case, request):
     mask_digest, cipher_digest = CASES[case]
     assert sha256(quantize(chaotic_image(source, ks))) == mask_digest
     assert sha256(encrypt(plain, ks)) == cipher_digest
+
+
+def spec_checked(key):
+    """Whether the specification recomputes a case: every one at n = 8 and
+    64, and the default key's at 256."""
+    name, n = key[:2]
+    return n <= 64 or name == "default"
+
+
+@pytest.mark.parametrize("name,n", [k for k in sorted(KEYSTREAM) if spec_checked(k)])
+def test_specification_keystream_image(name, n, request):
+    ks = make_key(name, request)
+    assert sha256(ref.keystream_image(ks, n)) == KEYSTREAM[name, n]
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(CASES) if spec_checked(c)], ids=case_id)
+def test_specification_mask_and_ciphertext(case, request):
+    name, n, mode, normalized = case
+    ks = replace(make_key(name, request), mode=mode, normalized=normalized)
+    plain = synthetic_test_image(n)
+    cipher_bytes = ref.encrypt(plain, ks)
+    mask_digest, cipher_digest = CASES[case]
+    assert sha256(cipher_bytes ^ plain) == mask_digest  # the mask, XORed back out
+    assert sha256(cipher_bytes) == cipher_digest

@@ -1,22 +1,28 @@
-"""The buffered kernels against the whole-array forms they replaced
-(tests/reference.py), byte for byte.
+"""The library against tests/reference.py, byte for byte: the buffered
+kernels against the whole-array forms they replaced, and each piece of the
+v1 specification against the library piece it mirrors.
 
 Writing into destinations and blocks must keep the same IEEE operations in
 the same order, so every output byte is unchanged.  These tests need no
-pinned bytes, so they also hold on a platform whose libm misses the known
-answers.
+pinned bytes, as both sides call the same libm, so they also hold on a
+platform whose libm misses the known answers.
 """
 
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import reference as ref
 from cthwave import wavelet
-from cthwave.cipher import quantize
+from cthwave.chaos import ChaosParams, LambdaStream
+from cthwave.cipher import _stage_matrices, encrypt, keystream_image, quantize
 from cthwave.imageio import rescale_to_bytes, synthetic_test_image
 from cthwave.wavelet import ButterflyMatrix, forward_2d, inverse_2d
+
+from conftest import random_chaos_params, random_key_schedule
 
 SIDES = [2, 4, 6, 12, 63, 64, 100, 512]
 EVEN_SIDES = [n for n in SIDES if n % 2 == 0]
@@ -150,3 +156,110 @@ class TestImageHelpers:
         before = values.copy()
         assert rescale_to_bytes(values).tobytes() == ref.rescale_to_bytes(values).tobytes()
         assert np.array_equal(values, before)
+
+
+class TestScalingAndWavelet:
+    def test_phi_midpoint_is_one(self):
+        for lam in (-2.0, -0.5, 0.0, 1.0, 2.0):
+            assert ref.phi(0.5, lam) == 1.0
+
+    def test_phi_zero_slope_is_indicator(self):
+        assert ref.phi(0.0, 0.0) == 1.0
+        assert ref.phi(0.999, 0.0) == 1.0
+        assert ref.phi(-0.001, 0.0) == 0.0
+        assert ref.phi(1.0, 0.0) == 0.0
+
+    def test_psi_zero_slope_is_step(self):
+        assert ref.psi(0.25, 0.0) == 1.0
+        assert ref.psi(0.75, 0.0) == -1.0
+        assert ref.psi(1.2, 0.0) == 0.0
+
+    def test_psi_takes_its_right_piece_at_one_half(self):
+        assert ref.psi(0.5, 0.0) == -1.0
+        p0, _ = ref.scaling_pair(-1.5)
+        assert ref.psi(0.5, -1.5) == pytest.approx(-p0 * 1.75, rel=1e-15)
+
+
+class TestClassicHaar:
+    def test_four_point_matrix(self):
+        h = ref.classic_haar_matrix(4)
+        s = 1 / math.sqrt(2)
+        expected = np.array(
+            [
+                [0.5, 0.5, 0.5, 0.5],
+                [0.5, 0.5, -0.5, -0.5],
+                [s, -s, 0, 0],
+                [0, 0, s, -s],
+            ]
+        )
+        assert np.allclose(h, expected, atol=1e-15)
+
+    def test_two_point_matrix(self):
+        s = 1 / math.sqrt(2)
+        assert np.allclose(ref.classic_haar_matrix(2), [[s, s], [s, -s]])
+
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_odd_dimension_rejected(self, n):
+        # 6 and 12 are even but not powers of two.
+        with pytest.raises(ValueError, match="power of two"):
+            ref.classic_haar_matrix(n)
+
+
+# Orbits that meet a pole at their first step and go on from the perturbed
+# state: theta1 = 2 atan(1) = pi/2 (tan), theta2 = 4 atan(1) = pi (cot).
+POLE_PARAMS = [ChaosParams(1.0, 2, 3, 2.0, 2.5, 0.4),
+               ChaosParams(1.0, 3, 4, 2.0, 2.5, 0.4)]
+SPEC_SEEDS = [0, 1, 2]
+
+
+class TestSpecification:
+    """Each piece of the v1 specification against the library piece it mirrors."""
+
+    @pytest.mark.parametrize("seed", SPEC_SEEDS)
+    def test_orbit_matches_lambda_stream(self, seed):
+        rng = np.random.default_rng([seed, 23])
+        for _ in range(5):
+            p = random_chaos_params(rng)
+            assert ref.orbit(p, 64, 1000) == list(LambdaStream(p, 64).orbit(1000))
+
+    @pytest.mark.parametrize("p", POLE_PARAMS, ids=["tan", "cot"])
+    def test_orbit_through_a_pole_matches_lambda_stream(self, p):
+        assert ref.orbit(p, 0, 200) == list(LambdaStream(p, 0).orbit(200))
+
+    def test_degenerate_orbit_raises_in_both(self):
+        # x0 = 1e30 sits on a pole, and 1e30 + 1e-6 == 1e30
+        p = ChaosParams(1e30, 3, 4, 2.0, 2.5, 0.4)
+        with pytest.raises(RuntimeError, match="degenerate"):
+            ref.orbit(p, 0, 1)
+        with pytest.raises(RuntimeError, match="degenerate"):
+            LambdaStream(p, 0).orbit(1)
+
+    @pytest.mark.parametrize("seed", SPEC_SEEDS)
+    def test_slopes_match_lambdas(self, seed):
+        p = random_chaos_params(np.random.default_rng([seed, 29]))
+        assert ref.slopes(p, 64, 1000) == LambdaStream(p, 64).lambdas(1000).tolist()
+
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("seed", SPEC_SEEDS)
+    def test_stage_matrices_match_the_entries(self, seed, n, normalized):
+        ks = random_key_schedule(np.random.default_rng(seed), normalized=normalized)
+        pairs = zip(ref.stage_matrices(ks, n), _stage_matrices(ks, n))
+        for k, (spec, h) in enumerate(pairs, start=1):
+            assert spec.tobytes() == h.entries.tobytes(), f"stage {k}"
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("seed", SPEC_SEEDS)
+    def test_keystream_bytes_match(self, seed, n):
+        ks = random_key_schedule(np.random.default_rng(seed))
+        assert np.array_equal(ref.keystream_image(ks, n), keystream_image(ks, n))
+
+    @pytest.mark.parametrize("mode", ["keystream", "literal"])
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("seed", SPEC_SEEDS)
+    def test_ciphertext_matches(self, seed, n, mode):
+        rng = np.random.default_rng([seed, 31])
+        ks = random_key_schedule(rng, mode=mode)
+        plain = rng.integers(0, 256, (n, n), dtype=np.uint8)
+        for key in (ks, replace(ks, normalized=True)):
+            assert np.array_equal(ref.encrypt(plain, key), encrypt(plain, key))

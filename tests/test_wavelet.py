@@ -11,20 +11,17 @@ from cthwave.chaos import LambdaStream
 from cthwave.wavelet import (
     ButterflyMatrix,
     build_level_matrix,
-    classic_haar_matrix,
     decompose,
     forward_2d,
     inverse_2d,
     merge_subbands,
-    phi,
-    psi,
     reconstruct,
     split_subbands,
     _scaling_pair,
 )
 
 from conftest import random_chaos_params
-from reference import REFERENCE_PARAMS
+from reference import REFERENCE_PARAMS, classic_haar_matrix
 
 
 class TestScalingPair:
@@ -42,63 +39,6 @@ class TestScalingPair:
         assert p1 == pytest.approx(lam**2 / 24 + lam / 4 + 1, rel=1e-12)
         assert p0 > 0 and p1 > 0
         assert p0 + p1 == pytest.approx(lam**2 / 12 + 2, rel=1e-12)
-
-
-class TestScalingAndWavelet:
-    def test_phi_midpoint_is_one(self):
-        for lam in (-2.0, -0.5, 0.0, 1.0, 2.0):
-            assert phi(0.5, lam) == 1.0
-
-    def test_phi_zero_slope_is_indicator(self):
-        assert phi(0.0, 0.0) == 1.0
-        assert phi(0.999, 0.0) == 1.0
-        assert phi(-0.001, 0.0) == 0.0
-        assert phi(1.0, 0.0) == 0.0
-
-    @pytest.mark.parametrize("lam", [-2.0001, 2.0001, math.nan])
-    def test_phi_refuses_slope_outside_range(self, lam):
-        with pytest.raises(ValueError, match="^lambda must lie in"):
-            phi(0.5, lam)
-
-    def test_psi_refuses_slope_outside_range(self):
-        for lam in (-2.0001, 2.0001, 5.0):
-            with pytest.raises(ValueError, match="^lambda must lie in"):
-                psi(0.25, lam)
-
-    def test_psi_zero_slope_is_step(self):
-        assert psi(0.25, 0.0) == 1.0
-        assert psi(0.75, 0.0) == -1.0
-        assert psi(1.2, 0.0) == 0.0
-
-    def test_psi_takes_its_right_piece_at_one_half(self):
-        assert psi(0.5, 0.0) == -1.0
-        p0, _ = _scaling_pair(-1.5)
-        assert psi(0.5, -1.5) == pytest.approx(-p0 * 1.75, rel=1e-15)
-
-
-class TestClassicHaar:
-    def test_four_point_matrix(self):
-        h = classic_haar_matrix(4)
-        s = 1 / math.sqrt(2)
-        expected = np.array(
-            [
-                [0.5, 0.5, 0.5, 0.5],
-                [0.5, 0.5, -0.5, -0.5],
-                [s, -s, 0, 0],
-                [0, 0, s, -s],
-            ]
-        )
-        assert np.allclose(h, expected, atol=1e-15)
-
-    def test_two_point_matrix(self):
-        s = 1 / math.sqrt(2)
-        assert np.allclose(classic_haar_matrix(2), [[s, s], [s, -s]])
-
-    @pytest.mark.parametrize("n", [3, 6, 12])
-    def test_odd_dimension_rejected(self, n):
-        # 6 and 12 are even but not powers of two.
-        with pytest.raises(ValueError, match="power of two"):
-            classic_haar_matrix(n)
 
 
 def zero_slope_butterfly(n):
