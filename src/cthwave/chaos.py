@@ -1,13 +1,12 @@
-"""Coupled trigonometric chaotic maps and the slope stream they drive.
+"""The coupled trigonometric chaotic map and the slope stream it drives.
 
-The two maps are
+The map couples two trigonometric terms,
 
-    f1(x, a, N) = (1/a^2) * tan^2(N * arctan(sqrt(x)))
-    f2(x, a, N) = (1/a^2) * cot^2(N * arctan(x^(-1/2)))
+    y1 = (1/a1^2) * tan^2(N1 * arctan(sqrt(x)))
+    y2 = (1/a2^2) * cot^2(N2 * arctan(x^(-1/2)))
 
-coupled as x_{n+1} = (1 - eps) * f1(x_n) + eps * f2(x_n).  Iterates live in
-[0, inf); they are folded to slope values lambda in [-2, 2) via
-lambda = 4 * frac(x) - 2.
+as x_{n+1} = (1 - eps) * y1 + eps * y2.  Iterates live in [0, inf); they
+are folded to slope values lambda in [-2, 2) via lambda = 4 * frac(x) - 2.
 
 All arithmetic is IEEE binary64, and the pinned bytes are defined by glibc's
 atan and tan: they round 0.07-0.28% of calls incorrectly, and a correctly
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # How close (in radians) an angle may come to a tan/cot pole before the
-# evaluation is rejected.  Poles are measure zero; callers re-seed or perturb.
+# step is rejected.  Poles are measure zero; the orbit perturbs once.
 POLE_TOL = 1e-9
 
 DEFAULT_BURN_IN = 64
@@ -37,13 +36,8 @@ MAX_DEGREE = 2**20  # largest N1, N2: LambdaStream.orbit's pole band holds
 _HALF_PI = math.pi / 2.0
 
 
-class PoleError(ArithmeticError):
-    """The map argument landed within POLE_TOL of a tan/cot pole, or the map
-    value overflowed (a zero denominator included)."""
-
-
 class StreamDegeneracyError(RuntimeError):
-    """A LambdaStream hit a pole twice in a row even after perturbation."""
+    """A LambdaStream step failed its checks again after perturbation."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,7 @@ class ChaosParams:
                                  f"got {_shown(v)}")
             object.__setattr__(self, name.lower(), n)
         for name, a in (("a1", self.a1), ("a2", self.a2)):
-            # a * a divides in f1 and f2, so it must neither underflow to 0
+            # a * a divides y1 and y2, so it must neither underflow to 0
             # nor overflow to inf (which would make every iterate 0).
             if not (a > 0 and 0 < a * a < math.inf):
                 raise ValueError(f"{name} must be positive with a finite "
@@ -116,51 +110,47 @@ def _shown(v: object) -> str:
     return repr(v)
 
 
-def f1(x: float, a: float, n: int) -> float:
-    """First trigonometric map: (1/a^2) tan^2(N arctan(sqrt(x)))."""
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"f1 requires finite x >= 0, got {x}")
-    theta = n * math.atan(math.sqrt(x))
-    # tan poles sit at odd multiples of pi/2.
-    r = math.fmod(abs(theta), math.pi)
-    if abs(r - _HALF_PI) < POLE_TOL:
-        raise PoleError(f"tan pole near theta={theta}")
-    t = math.tan(theta)
-    d = a * a
-    out = (t * t) / d if d else math.inf
-    if not math.isfinite(out):
-        raise PoleError(f"f1 overflow at theta={theta}")
-    return out
-
-
-def f2(x: float, a: float, n: int) -> float:
-    """Second trigonometric map: (1/a^2) cot^2(N arctan(x^(-1/2)))."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"f2 requires finite x > 0, got {x}")
-    theta = n * math.atan(1.0 / math.sqrt(x))
-    # cot poles sit at integer multiples of pi.
-    r = math.fmod(abs(theta), math.pi)
-    if min(r, math.pi - r) < POLE_TOL:
-        raise PoleError(f"cot pole near theta={theta}")
-    t = math.tan(theta)
-    d = t * t * a * a
-    out = 1.0 / d if d else math.inf
-    if not math.isfinite(out):
-        raise PoleError(f"f2 overflow at theta={theta}")
-    return out
-
-
-def step_coupled(x: float, p: ChaosParams) -> float:
-    """One iterate of the symmetrically coupled map."""
-    return (1.0 - p.eps) * f1(x, p.a1, p.n1) + p.eps * f2(x, p.a2, p.n2)
+def _walk(p: ChaosParams, x: float, count: int, out: array) -> float:
+    """Append up to ``count`` iterates from ``x`` to ``out``; return the last
+    state.  Stops before a step that fails a check: state not finite and
+    positive, a tan or cot pole (band: see orbit), a non-finite y1 or y2."""
+    n1, n2, a2, eps = float(p.n1), float(p.n2), p.a2, p.eps
+    a1a1 = p.a1 * p.a1
+    c1 = 1.0 - eps
+    atan, sqrt, tan, fmod = math.atan, math.sqrt, math.tan, math.fmod
+    pi, half_pi, tol, inf = math.pi, _HALF_PI, POLE_TOL, math.inf
+    tan_band, cot_band = (0.1 / tol) ** 2, (10.0 * tol) ** 2
+    append = out.append
+    for _ in range(count):
+        if 0.0 < x < inf:
+            s = sqrt(x)
+            theta = n1 * atan(s)
+            t = tan(theta)
+            tt = t * t
+            if tt < tan_band or abs(fmod(theta, pi) - half_pi) >= tol:
+                y1 = tt / a1a1
+                theta = n2 * atan(1.0 / s)
+                t = tan(theta)
+                tt = t * t
+                if y1 < inf and (tt > cot_band or (
+                        (r := fmod(theta, pi)) >= tol and pi - r >= tol)):
+                    d = tt * a2 * a2
+                    if d > 0.0:
+                        y2 = 1.0 / d
+                        if y2 < inf:
+                            x = c1 * y1 + eps * y2
+                            append(x)
+                            continue
+        break
+    return x
 
 
 class LambdaStream:
     """Stateful producer of slope values from the coupled map orbit.
 
     Single-owner mutable state: not safe for concurrent stepping.  Iterating
-    the stream yields lambda values; ``step`` and ``orbit`` expose the raw
-    iterates for callers that need them (e.g. keystream byte generation).
+    the stream yields lambda values; ``orbit`` and ``step`` expose the raw
+    iterates (e.g. for keystream bytes), and ``orbit`` retries a pole.
     """
 
     def __init__(self, params: ChaosParams, burn_in: int = DEFAULT_BURN_IN):
@@ -171,36 +161,16 @@ class LambdaStream:
             self.orbit(min(_BURN_CHUNK, burn_in - done))
 
     def step(self) -> float:
-        """Advance the orbit one iterate and return the new state.
-
-        A pole (or a state that fell to exactly zero) is retried once after
-        perturbing the state by 1e-6; a second consecutive failure aborts.
-        """
-        x = self.state
-        for attempt in range(2):
-            try:
-                if x <= 0.0:
-                    raise PoleError(f"degenerate state {x}")
-                nxt = step_coupled(x, self.params)
-            except PoleError:
-                x += 1e-6
-                continue
-            self.state = nxt
-            return nxt
-        raise StreamDegeneracyError(
-            f"orbit degenerate near x={self.state} (pole after perturbation)"
-        )
+        """Advance the orbit one iterate and return the new state."""
+        return self.orbit(1)[0]
 
     def orbit(self, count: int) -> array:
-        """Advance ``count`` steps and return the iterates, as ``step`` would.
+        """Advance ``count`` steps and return the iterates.
 
-        The coupled map is inlined over local variables with the same IEEE
-        operations in the same order as ``f1``, ``f2`` and ``step_coupled``,
-        so the iterates are bit-identical.  Whenever a check of those
-        functions would fail (state not finite and positive, a tan or cot
-        pole, a non-finite map value, a zero f2 denominator), that step is
-        handed to ``step``, which perturbs, raises or carries on exactly as
-        it always does.
+        The map runs in one loop over local variables.  A step that fails a
+        check is taken again once from the state plus 1e-6 (a state of
+        exactly zero included); a second failure raises
+        StreamDegeneracyError, with the state left at the last iterate.
 
         tan(theta) comes first, and each pole test runs only when
         tt = tan(theta)^2 lies in its band, tt >= (0.1/tol)^2 for the tan
@@ -209,41 +179,20 @@ class LambdaStream:
         a cot pole |tan| < 1.1 tol, as theta < N pi/2 <= 2^19 pi (N <=
         MAX_DEGREE) keeps the rounding of pi from moving the k-th pole by
         1e-10 <= tol/10 or more (TestOrbit::test_pole_band_precondition).
+        So the band tests (tt < tan_band, tt > cot_band) only decide whether
+        the exact test runs: moving an edge within that margin changes no
+        iterate.
         """
         count = nonnegative_int("count", count)
-        p = self.params
-        n1, n2, a2, eps = float(p.n1), float(p.n2), p.a2, p.eps
-        a1a1 = p.a1 * p.a1
-        c1 = 1.0 - eps
-        atan, sqrt, tan, fmod = math.atan, math.sqrt, math.tan, math.fmod
-        pi, half_pi, tol, inf = math.pi, _HALF_PI, POLE_TOL, math.inf
-        tan_band, cot_band = (0.1 / tol) ** 2, (10.0 * tol) ** 2
         out = array("d")
-        append = out.append
-        x = self.state
-        for _ in range(count):
-            if 0.0 < x < inf:
-                s = sqrt(x)
-                theta = n1 * atan(s)
-                t = tan(theta)
-                tt = t * t
-                if tt < tan_band or abs(fmod(theta, pi) - half_pi) >= tol:
-                    y1 = tt / a1a1
-                    theta = n2 * atan(1.0 / s)
-                    t = tan(theta)
-                    tt = t * t
-                    if y1 < inf and (tt > cot_band or (
-                            (r := fmod(theta, pi)) >= tol and pi - r >= tol)):
-                        d = tt * a2 * a2
-                        if d > 0.0:
-                            y2 = 1.0 / d
-                            if y2 < inf:
-                                x = c1 * y1 + eps * y2
-                                append(x)
-                                continue
-            self.state = x
-            x = self.step()
-            append(x)
+        x = _walk(self.params, self.state, count, out)
+        while (done := len(out)) < count:  # the step from x failed a check
+            y = _walk(self.params, x + 1e-6, count - done, out)
+            if len(out) == done:
+                self.state = x
+                raise StreamDegeneracyError(
+                    f"orbit degenerate near x={x} (pole after perturbation)")
+            x = y
         self.state = x
         return out
 

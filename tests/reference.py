@@ -63,24 +63,35 @@ MIN_SWAP_SIDE = 4  # smaller quadrants are not spiral-swapped
 #    x' = (1 - eps) f1(x) + eps f2(x),
 #    f1(x) = tan^2(N1 atan(sqrt x)) / a1^2,  f2(x) = cot^2(N2 atan(1/sqrt x)) / a2^2.
 
+def f1(x, a, n):
+    """tan^2(n atan(sqrt x)) / a^2, or None when the angle lies within
+    POLE_TOL of a tan pole."""
+    theta = n * math.atan(math.sqrt(x))
+    if abs(math.fmod(theta, math.pi) - math.pi / 2) < POLE_TOL:
+        return None
+    t = math.tan(theta)
+    return t * t / (a * a)
+
+
+def f2(x, a, n):
+    """cot^2(n atan(1/sqrt x)) / a^2, or None when the angle lies within
+    POLE_TOL of a cot pole; inf when the denominator underflows to 0."""
+    theta = n * math.atan(1.0 / math.sqrt(x))
+    r = math.fmod(theta, math.pi)
+    if min(r, math.pi - r) < POLE_TOL:
+        return None
+    t = math.tan(theta)
+    d = t * t * a * a
+    return 1.0 / d if d else math.inf
+
+
 def coupled_map(x, p):
     """One iterate of the coupled map, or None when x is not positive, an
     angle lies within POLE_TOL of a pole or a map value is not finite."""
     if not x > 0.0:
         return None
-    theta = p.n1 * math.atan(math.sqrt(x))
-    if abs(math.fmod(theta, math.pi) - math.pi / 2) < POLE_TOL:  # tan pole
-        return None
-    t = math.tan(theta)
-    y1 = t * t / (p.a1 * p.a1)
-    theta = p.n2 * math.atan(1.0 / math.sqrt(x))
-    r = math.fmod(theta, math.pi)
-    if min(r, math.pi - r) < POLE_TOL:  # cot pole
-        return None
-    t = math.tan(theta)
-    d = t * t * p.a2 * p.a2
-    y2 = 1.0 / d if d else math.inf
-    if not (math.isfinite(y1) and math.isfinite(y2)):
+    y1, y2 = f1(x, p.a1, p.n1), f2(x, p.a2, p.n2)
+    if y1 is None or y2 is None or not (math.isfinite(y1) and math.isfinite(y2)):
         return None
     return (1.0 - p.eps) * y1 + p.eps * y2
 

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import reference as ref
-from cthwave import wavelet
-from cthwave.chaos import ChaosParams, LambdaStream
+from cthwave import chaos, wavelet
+from cthwave.chaos import ChaosParams, LambdaStream, StreamDegeneracyError
 from cthwave.cipher import _stage_matrices, encrypt, keystream_image, quantize
 from cthwave.imageio import rescale_to_bytes, synthetic_test_image
 from cthwave.wavelet import ButterflyMatrix, forward_2d, inverse_2d
@@ -211,6 +211,60 @@ POLE_PARAMS = [ChaosParams(1.0, 2, 3, 2.0, 2.5, 0.4),
                ChaosParams(1.0, 3, 4, 2.0, 2.5, 0.4)]
 SPEC_SEEDS = [0, 1, 2]
 
+# Degree pairs for the beside-a-pole table: small, and 2^20 on either map.
+POLE_BAND_DEGREES = [(2, 3), (3, 4), (17, 9), (2**20, 3), (3, 2**20)]
+
+# Keys whose first step leaves or nearly leaves the floats, with POLE_TOL
+# and the iterates taken before the orbit degenerates (None: it does not).
+# f2's denominator underflows to 0 at x0 and at x0 + 1e-6; y1 or y2 lands
+# in [1e300, inf) as a1^2 or a2^2 is about 1e-304, and the next step meets
+# a cot pole; and the state 1e300 steps at a tolerance small enough that
+# theta2 = 4 atan(1e-150) is no cot pole (at POLE_TOL >= 1e-144 no state
+# above about 1e288 steps at all).
+RANGE_EDGE_CASES = {
+    "underflowing-denominator": (ChaosParams(1.5, 3, 4, 2.0, 2e-162, 0.4), 1e-9, 0),
+    "y1-above-1e300": (ChaosParams(0.2, 3, 4, 1e-152, 2.5, 0.4), 1e-9, 1),
+    "y2-above-1e300": (ChaosParams(0.2, 3, 4, 2.0, 1e-152, 0.4), 1e-9, 1),
+    "state-above-1e300": (ChaosParams(1e300, 2, 4, 2.0, 2.5, 0.4), 1e-150, None),
+}
+
+
+def _orbit_matches_spec(p, count):
+    """Check count steps of LambdaStream(p, 0) against ref.orbit(p, 0, count).
+
+    Both give the same iterates, or both take the same iterates and then
+    meet a degenerate step.  There the stream raises StreamDegeneracyError
+    and keeps its last iterate as its state, whether it ran one step per
+    call or all of them in one orbit call.  Returns the iterates and
+    whether the orbit was degenerate.
+    """
+    s = LambdaStream(p, 0)
+    xs, degenerate = [], False
+    try:
+        while len(xs) < count:
+            xs.append(s.step())
+    except StreamDegeneracyError:
+        degenerate = True
+    last = xs[-1] if xs else p.x0
+    assert float.hex(s.state) == float.hex(last)
+    assert ref.orbit(p, 0, len(xs)) == xs
+    whole = LambdaStream(p, 0)
+    if degenerate:
+        with pytest.raises(RuntimeError, match="degenerate"):
+            ref.orbit(p, 0, len(xs) + 1)
+        with pytest.raises(StreamDegeneracyError):
+            whole.orbit(count)
+        assert float.hex(whole.state) == float.hex(last)
+    else:
+        assert list(whole.orbit(count)) == xs
+    return xs, degenerate
+
+
+def _pole_tol(monkeypatch, tol):
+    """Set POLE_TOL to tol in both the library and the specification."""
+    monkeypatch.setattr(chaos, "POLE_TOL", tol)
+    monkeypatch.setattr(ref, "POLE_TOL", tol)
+
 
 class TestSpecification:
     """Each piece of the v1 specification against the library piece it mirrors."""
@@ -224,15 +278,66 @@ class TestSpecification:
 
     @pytest.mark.parametrize("p", POLE_PARAMS, ids=["tan", "cot"])
     def test_orbit_through_a_pole_matches_lambda_stream(self, p):
-        assert ref.orbit(p, 0, 200) == list(LambdaStream(p, 0).orbit(200))
+        assert ref.coupled_map(p.x0, p) is None
+        xs, degenerate = _orbit_matches_spec(p, 200)
+        assert not degenerate and len(xs) == 200
 
     def test_degenerate_orbit_raises_in_both(self):
         # x0 = 1e30 sits on a pole, and 1e30 + 1e-6 == 1e30
         p = ChaosParams(1e30, 3, 4, 2.0, 2.5, 0.4)
-        with pytest.raises(RuntimeError, match="degenerate"):
-            ref.orbit(p, 0, 1)
-        with pytest.raises(RuntimeError, match="degenerate"):
-            LambdaStream(p, 0).orbit(1)
+        assert _orbit_matches_spec(p, 10) == ([], True)
+        with pytest.raises(StreamDegeneracyError):
+            LambdaStream(p, burn_in=1)
+
+    def test_orbit_through_a_mid_orbit_pole_matches_lambda_stream(self, monkeypatch):
+        # A wide pole band makes orbits run into a pole after some ordinary
+        # steps; the 1e-6 retry cannot leave a band this wide, so each such
+        # orbit ends degenerate at its last good state.
+        _pole_tol(monkeypatch, 1e-3)
+        rng = np.random.default_rng(20)
+        degenerate = sum(_orbit_matches_spec(random_chaos_params(rng), 3000)[1]
+                         for _ in range(20))
+        assert degenerate >= 5
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+    def test_orbit_beside_a_pole_matches_lambda_stream(self, monkeypatch, tol):
+        # Seeds whose first theta1 (or theta2) lands delta from a tan (or
+        # cot) pole, on both sides of the band edges tan^2 = (0.1/tol)^2 and
+        # (10 tol)^2, and degrees up to 2^20, the largest a key may take.
+        _pole_tol(monkeypatch, tol)
+        sizes = [c * 10.0**e for e in range(-13, -5) for c in (1, 3)] + [1e-5]
+        deltas = [sign * size * (tol / 1e-9) for size in sizes for sign in (1, -1)]
+        seeds = []
+        for n1, n2 in POLE_BAND_DEGREES:
+            for k in sorted({0, n1 // 4, n1 // 2 - 1}):
+                seeds += [(math.tan(((k + 0.5) * math.pi + d) / n1) ** 2, n1, n2)
+                          for d in deltas]
+            for k in sorted({0, n2 // 4, (n2 - 1) // 2 - 1}):
+                seeds += [(math.tan(((k + 1) * math.pi + d) / n2) ** -2, n1, n2)
+                          for d in deltas]
+        poles = 0
+        for x0, n1, n2 in seeds:
+            p = ChaosParams(x0, n1, n2, 2.0, 2.5, 0.4)
+            poles += ref.coupled_map(x0, p) is None
+            _orbit_matches_spec(p, 3)
+        assert poles >= len(seeds) / 3
+
+    @pytest.mark.parametrize("case", RANGE_EDGE_CASES)
+    def test_orbit_at_the_float_range_edges_matches_lambda_stream(self, monkeypatch,
+                                                                  case):
+        p, tol, taken = RANGE_EDGE_CASES[case]
+        _pole_tol(monkeypatch, tol)
+        xs, degenerate = _orbit_matches_spec(p, 3)
+        assert (len(xs), degenerate) == ((3, False) if taken is None else (taken, True))
+
+    def test_orbit_from_a_zero_state_matches_lambda_stream(self):
+        # A state of exactly 0 takes no step, so it steps from 1e-6 as a pole does.
+        p = ref.REFERENCE_PARAMS
+        s = LambdaStream(p, burn_in=0)
+        s.state = 0.0
+        assert ref.coupled_map(0.0, p) is None
+        first = ref.coupled_map(ref.PERTURBATION, p)
+        assert list(s.orbit(5)) == [first] + ref.orbit(replace(p, x0=first), 0, 4)
 
     @pytest.mark.parametrize("seed", SPEC_SEEDS)
     def test_slopes_match_lambdas(self, seed):
