@@ -191,19 +191,29 @@ def _stage_matrices(ks: KeySchedule, n: int) -> tuple[ButterflyMatrix, ...]:
                                     ks.normalized) for p, s in zip(ks.stages, sides))
 
 
+def _analysis(m: np.ndarray, ks: KeySchedule) -> np.ndarray:
+    """Both forward levels of key ks on a square image m whose side n 4
+    divides, as a new float array: stage 1 at side n, then stage 2 in place
+    on the top-left n/2 square.  forward_2d is looked up in this module,
+    where the benchmark wraps it by name."""
+    n, h = m.shape[0], m.shape[0] // 2
+    h1, h2 = _stage_matrices(ks, n)[:2]
+    f = forward_2d(m, h1)
+    forward_2d(f[:h, :h], h2, out=f[:h, :h])
+    return f
+
+
 def chaotic_image(m: np.ndarray, ks: KeySchedule) -> np.ndarray:
     """Produce the real-valued mask image F from an input image.
 
-    Two forward decomposition levels (stages 1-2, level 2 in place on the
-    top-left quadrant), the level-2 then level-1 spiral swaps as one cached
-    gather, then two inverse levels with their own matrices (stages 3-4).
-    Quadrants too small for the spiral (side < 4) pass through unswapped.
-    The four stage matrices depend on the key and side only and are cached
-    per (key, side).  With h1, h2, h3, h4 = _stage_matrices(ks, n) this
-    equals wavelet.decompose(m, (h1, h2)), the gather, then
-    wavelet.reconstruct(f, (h4, h3)); the transforms stay inline until the
-    library times its own layers (ROADMAP item 1), because the benchmark
-    wraps them here by name.
+    _analysis's two forward levels (stages 1-2), the level-2 then level-1
+    spiral swaps as one cached gather, then two inverse levels with their
+    own matrices (stages 3-4), level 2 in place on the top-left quadrant
+    first.  Quadrants too small for the spiral (side < 4) pass through
+    unswapped.  The four stage matrices depend on the key and side only and
+    are cached per (key, side).  The inverse calls stay inline, like
+    _analysis's forward ones, because the benchmark wraps inverse_2d by
+    name in this module.
 
     A uint8 image is read as it is (the first pass's ufuncs cast it to
     float exactly), and every transform after the first writes in place, so
@@ -213,12 +223,10 @@ def chaotic_image(m: np.ndarray, ks: KeySchedule) -> np.ndarray:
     m = np.asarray(m)
     _check_side(m.shape, "image")
     n, h = m.shape[0], m.shape[0] // 2
-    h1, h2, h3, h4 = _stage_matrices(ks, n)
-
-    f = forward_2d(m, h1)
-    forward_2d(f[:h, :h], h2, out=f[:h, :h])
+    f = _analysis(m, ks)
     # Indexing, not np.take: np.take copies a read-only index array first.
     f = f.reshape(-1)[_mask_perm(n)].reshape(n, n)
+    _, _, h3, h4 = _stage_matrices(ks, n)
     inverse_2d(f[:h, :h], h3, out=f[:h, :h])
     return inverse_2d(f, h4, out=f)
 

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from cthwave import cipher, metrics, wavelet
+from cthwave import cipher, metrics
 from cthwave.chaos import StreamDegeneracyError
 from cthwave.imageio import GrayImage, read_pgm, rescale_to_bytes, write_pgm
 from cthwave.keyfile import load_key_file
@@ -72,7 +72,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     if n > cipher.MAX_SIDE:
         raise ValueError(f"image must be at most {cipher.MAX_SIDE} pixels wide, "
                          f"got shape {img.pixels.shape}")
-    f = wavelet.decompose(img.pixels, cipher._stage_matrices(ks, n)[:2])
+    f = cipher._analysis(img.pixels, ks)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for level in (1, 2):

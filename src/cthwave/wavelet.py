@@ -12,8 +12,8 @@ coefficients built from its slopes; it is stored as those n/2 blocks and
 applied in O(n^2) per 2-D transform with no BLAS.  Every block's
 coefficients are positive, so its |det| is at least (8/9) s^2 (s^2 = 1
 raw, 1/2 normalized) and the matrix is invertible by construction.
-Multilevel behaviour comes from recursive application to the LL quadrant,
-in place on one n x n array (the pyramid layout of Mallat, 1989).
+The cipher's second level transforms the LL quadrant in place, through a
+view of the n x n array (the pyramid layout of Mallat, 1989).
 """
 
 from __future__ import annotations
@@ -201,36 +201,3 @@ def merge_subbands(bands: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError(f"quadrants must share one shape, got {shapes}")
     ll, hl, lh, hh = bands
     return np.block([[ll, hl], [lh, hh]])
-
-
-def _pyramid(x: np.ndarray, matrices: Sequence[ButterflyMatrix]) -> np.ndarray:
-    """A float copy of x, refused unless square with matrix sides n, n/2,
-    n/4, ...; a butterfly's side is even, so 2^levels divides n."""
-    x = np.array(x, dtype=float)
-    n = x.shape[0] if x.ndim == 2 and x.shape[0] == x.shape[1] else 0
-    sides = [h.n for h in matrices]
-    if not sides or sides != [n >> k for k in range(len(sides))]:
-        raise ValueError(f"image shape {x.shape} does not fit matrix sides {sides}; "
-                         f"they must run n, n/2, n/4, ...")
-    return x
-
-
-def decompose(image: np.ndarray, matrices: Sequence[ButterflyMatrix]) -> np.ndarray:
-    """Multilevel decomposition in the pyramid layout, one matrix per level.
-
-    Level k transforms the top-left n/2^(k-1) square in place with
-    matrices[k-1].  Level k's LH / HL / HH sit in the quadrants of that
-    square; the deepest approximation is the top-left n/2^levels square.
-    """
-    f = _pyramid(image, matrices)
-    for h in matrices:
-        forward_2d(f[:h.n, :h.n], h, out=f[:h.n, :h.n])
-    return f
-
-
-def reconstruct(f: np.ndarray, matrices: Sequence[ButterflyMatrix]) -> np.ndarray:
-    """Invert decompose with the same matrices, deepest level first."""
-    m = _pyramid(f, matrices)
-    for h in reversed(matrices):
-        inverse_2d(m[:h.n, :h.n], h, out=m[:h.n, :h.n])
-    return m

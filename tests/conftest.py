@@ -24,8 +24,8 @@ def random_chaos_params(rng: np.random.Generator) -> ChaosParams:
 
 
 def stream_matrices(params, n: int, burn_in: int):
-    """One raw stage matrix per level for decompose/reconstruct: level k at
-    side n >> k, from a fresh stream on params[k]."""
+    """One raw stage matrix per level of a pyramid: level k at side n >> k,
+    from a fresh stream on params[k]."""
     sides = [n >> k for k in range(len(params))]
     return [
         build_level_matrix(s, LambdaStream(p, burn_in).lambdas(2 * s))

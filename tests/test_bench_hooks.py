@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cthwave import cipher
 
@@ -50,3 +51,21 @@ def test_traced_literal_encrypt_records_each_build_side(default_literal_key):
     builds = [s for s in tracer.spans if s.name == "wavelet.build_level_matrix"]
     assert all(isinstance(s.size, int) for s in builds)
     assert sorted(s.size for s in builds) == [4, 4, 8, 8]
+
+
+# The tracer sees a transform only when cipher calls it through its own
+# module globals; a level run from inside wavelet would zero the per-layer
+# forward_2d and inverse_2d metrics without failing anything else.
+@pytest.mark.parametrize("key", ["default_keystream_key", "default_literal_key"])
+def test_traced_cold_encrypt_records_both_levels_under_chaotic_image(key, request):
+    tracer = new_tracer()
+    cipher._keystream_mask.cache_clear()
+    with tracer.installed(), tracer.op("encrypt"):
+        cipher.encrypt(np.zeros((16, 16), np.uint8), request.getfixturevalue(key))
+    (image,) = [s for s in tracer.spans if s.name == "cipher.chaotic_image"]
+    transforms = [s for s in tracer.spans
+                  if s.name in ("wavelet.forward_2d", "wavelet.inverse_2d")]
+    assert all(s.parent == image.id for s in transforms)
+    assert sorted(s.name for s in transforms) == [
+        "wavelet.forward_2d", "wavelet.forward_2d",
+        "wavelet.inverse_2d", "wavelet.inverse_2d"]

@@ -30,7 +30,7 @@ from cthwave.cipher import (
 )
 from cthwave.keyfile import format_key_file, parse_key_file
 from cthwave.metrics import entropy_normalized, npcr
-from cthwave.wavelet import decompose, reconstruct
+from cthwave.wavelet import forward_2d, inverse_2d
 
 import reference as ref
 from conftest import peak_rss_rise_kib, random_key_schedule
@@ -213,15 +213,21 @@ class TestChaoticImage:
 
     @pytest.mark.parametrize("normalized", [False, True])
     @pytest.mark.parametrize("n", [4, 12, 16, 64])
-    def test_is_decompose_gather_reconstruct(self, n, normalized):
+    def test_is_analysis_gather_synthesis(self, n, normalized):
+        # The definition of chaotic_image, level by level on fresh arrays:
+        # level 1 at side n, level 2 on the top-left n/2 square, the gather,
+        # then level 2's inverse before level 1's.
         rng = np.random.default_rng(n)
+        h = n // 2
         for _ in range(3):
             ks = random_key_schedule(rng, normalized=normalized)
             m = rng.integers(0, 256, (n, n)).astype(np.uint8)
             h1, h2, h3, h4 = cipher._stage_matrices(ks, n)
-            f = decompose(m, (h1, h2))
+            f = forward_2d(m, h1)
+            f[:h, :h] = forward_2d(f[:h, :h].copy(), h2)
             f = f.reshape(-1)[cipher._mask_perm(n)].reshape(n, n)
-            expected = reconstruct(f, (h4, h3))
+            f[:h, :h] = inverse_2d(f[:h, :h].copy(), h3)
+            expected = inverse_2d(f, h4)
             assert chaotic_image(m, ks).tobytes() == expected.tobytes()
 
     def test_brightness_redistributed(self, default_literal_key):

@@ -47,7 +47,7 @@ from cthwave.metrics import (
     npcr,
     uaci,
 )
-from cthwave.wavelet import decompose
+from cthwave.wavelet import forward_2d
 from conftest import traced_peak_bytes
 
 DEGREE_RULE = r"must be an integer in \[2, 2\*\*20\]"
@@ -691,8 +691,10 @@ class TestCli:
                      "--out-dir", str(out_dir)]) == 0
         img = read_pgm(image_path).pixels
         n = img.shape[0]
-        # Stage 1 at side n, then stage 2 at side n/2.
-        f = decompose(img, _stage_matrices(load_key_file(key), n)[:2])
+        # Stage 1 at side n, then stage 2 on the top-left n/2 square.
+        h1, h2 = _stage_matrices(load_key_file(key), n)[:2]
+        f = forward_2d(img, h1)
+        f[:n // 2, :n // 2] = forward_2d(f[:n // 2, :n // 2].copy(), h2)
         for level in (1, 2):
             h = n >> level
             bands = {"LH": f[h:2 * h, :h], "HL": f[:h, h:2 * h],
@@ -718,14 +720,21 @@ class TestCli:
             f"error: image shape {pixels.shape} not divisible into 2 levels\n")
         assert not (tmp_path / "bands").exists()
 
-    def test_transform_takes_every_side_decompose_takes(self, tmp_path, key_path,
-                                                         capsys):
+    # transform takes any square side that 4 divides; the cipher also needs
+    # even level-2 quadrants for its spiral swap, so it refuses side 20.
+    @pytest.mark.parametrize("n, cipher_rc", [(12, 0), (20, 2)],
+                             ids=["side-12", "side-20"])
+    def test_transform_takes_every_side_4_divides(self, tmp_path, key_path, n,
+                                                  cipher_rc, capsys):
         plain = tmp_path / "p.pgm"
-        write_pgm(GrayImage(synthetic_test_image(12)), plain)
+        write_pgm(GrayImage(synthetic_test_image(n)), plain)
         assert main(["transform", "--in", str(plain), "--key", str(key_path),
                      "--out-dir", str(tmp_path / "bands")]) == 0
-        ll = read_pgm(tmp_path / "bands" / "L2_LL.pgm")
-        assert ll.pixels.shape == (3, 3)
+        for band in ("LL", "HL", "LH", "HH"):
+            l2 = read_pgm(tmp_path / "bands" / f"L2_{band}.pgm")
+            assert l2.pixels.shape == (n // 4, n // 4)
+        assert main(["encrypt", "--in", str(plain), "--key", str(key_path),
+                     "--out", str(tmp_path / "c.pgm")]) == cipher_rc
 
     # transform writes the cipher's two levels; analyze reports correlations
     # at the audit's pair count.  Neither takes an option to change that.

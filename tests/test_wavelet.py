@@ -11,11 +11,9 @@ from cthwave.chaos import LambdaStream
 from cthwave.wavelet import (
     ButterflyMatrix,
     build_level_matrix,
-    decompose,
     forward_2d,
     inverse_2d,
     merge_subbands,
-    reconstruct,
     split_subbands,
     _scaling_pair,
 )
@@ -203,6 +201,13 @@ class TestTransform2d:
             m = rng.standard_normal((8, 8))
             assert np.abs(inverse_2d(forward_2d(m, h), h) - m).max() < 1e-8
 
+    def test_classic_level_one_ll_is_block_average(self):
+        rng = np.random.default_rng(6)
+        img = rng.uniform(0, 255, (16, 16))
+        f = forward_2d(img, zero_slope_butterfly(16))
+        blocks = img.reshape(8, 2, 8, 2).mean(axis=(1, 3))
+        assert np.allclose(f[:8, :8], 2.0 * blocks, atol=1e-10)
+
 
 class TestSubBands:
     def test_split_merge_involution(self):
@@ -237,41 +242,3 @@ class TestSubBands:
             merge_subbands((np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
                             np.zeros((4, 4))))
 
-
-class TestMultilevel:
-    def test_classic_level_one_ll_is_block_average(self):
-        rng = np.random.default_rng(6)
-        img = rng.uniform(0, 255, (16, 16))
-        f = decompose(img, [zero_slope_butterfly(16)])
-        blocks = img.reshape(8, 2, 8, 2).mean(axis=(1, 3))
-        assert np.allclose(f[:8, :8], 2.0 * blocks, atol=1e-10)
-
-    def test_two_level_dimensions(self):
-        img = np.zeros((256, 256))
-        matrices = [zero_slope_butterfly(256), zero_slope_butterfly(128)]
-        f = decompose(img, matrices)
-        assert isinstance(f, np.ndarray) and f.shape == (256, 256)
-        assert f[: 256 >> len(matrices), : 256 >> len(matrices)].shape == (64, 64)
-
-    def test_divisibility_error(self):
-        with pytest.raises(ValueError):
-            decompose(np.zeros((12, 12)), [zero_slope_butterfly(s) for s in (12, 6, 2)])
-
-    @pytest.mark.parametrize("shape, sides", [
-        ((16, 16), ()),
-        ((16, 16), (8, 16)),
-        ((16, 16), (16, 16)),
-        ((16, 8), (16,)),
-        ((12, 12), (12, 6, 4)),
-    ], ids=["empty", "wrong-order", "repeated-side", "non-square", "too-many-levels"])
-    @pytest.mark.parametrize("transform", [decompose, reconstruct])
-    def test_refuses_matrices_that_do_not_fit(self, transform, shape, sides):
-        with pytest.raises(ValueError, match="matrix sides"):
-            transform(np.zeros(shape), [zero_slope_butterfly(s) for s in sides])
-
-    def test_classic_one_level_roundtrip_exact(self):
-        rng = np.random.default_rng(7)
-        img = rng.uniform(0, 255, (32, 32))
-        f = decompose(img, [zero_slope_butterfly(32)])
-        rec = reconstruct(f, [zero_slope_butterfly(32)])
-        assert np.abs(rec - img).max() < 1e-10
